@@ -30,7 +30,6 @@ from .geometry import (
     unitary_complexity,
 )
 from .response import (
-    DiffConfig,
     LyapunovEstimate,
     ResponseMatrix,
     ResponseSpectrum,

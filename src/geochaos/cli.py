@@ -45,8 +45,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        t0, t1, n = self.time_grid
-        if not (t1 > t0 >= 0.0):
+        try:
+            t0, t1, n = self.time_grid
+            ordered = t1 > t0 >= 0.0
+        except (TypeError, ValueError):
+            raise ConfigError("time grid must be numbers [start, end, npoints]") from None
+        if not isinstance(n, int):
+            raise ConfigError(f"time grid point count must be an integer, got {n!r}")
+        if not ordered:
             raise ConfigError("time grid must satisfy t_end > t_start >= 0")
         if n < 2:
             raise ConfigError("time grid needs at least 2 points")
@@ -106,23 +112,17 @@ def _run_iho_response(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     ham = classical.inverted_oscillator(omega)
     rows = []
     worst = 0.0
-    all_reliable = True
-    epsilon_used = 0.0
     for t in cfg.times():
         r = response.unitary_response_matrix(ham, gens, float(t))
         ana = classical.iho_response_analytic(omega, float(t))
         err = np.abs(r.entries - ana.entries) / np.maximum(1.0, np.abs(ana.entries))
         worst = max(worst, float(err.max()))
-        all_reliable = all_reliable and bool(r.reliable.all())
-        epsilon_used = r.epsilon_used
         sp = response.response_spectrum(r)
         rows.append([t, *r.entries.ravel(), *sp.eigenvalues])
     csv = out / "response.csv"
     _write_csv(csv, ["t", "r_xx", "r_xp", "r_px", "r_pp", "s_1", "s_2"], rows)
     checks = [_check("analytic_parity_rel_err", worst, 1e-6)]
-    return ExperimentReport(cfg.experiment,
-                            {"omega": omega, "stencil_epsilon": epsilon_used,
-                             "all_entries_reliable": all_reliable},
+    return ExperimentReport(cfg.experiment, {"omega": omega},
                             cfg.seed, [csv.name], checks)
 
 
@@ -375,7 +375,37 @@ def _parse_window(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError("window must be t_min:t_max")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ConfigError(f"bad window {text!r}") from None
+
+
+def _parse_values(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad sweep values {text!r}") from None
+
+
+def _config_from_file(path: Path) -> ExperimentConfig:
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # unreadable file or malformed JSON
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {str(path)!r} must hold a JSON object")
+    try:
+        return ExperimentConfig(
+            experiment=doc.get("experiment", ""),
+            parameters=doc.get("parameters", {}),
+            time_grid=tuple(doc.get("time_grid", (0.0, 5.0, 11))),
+            output=Path(doc.get("output", "geochaos-out")),
+            seed=int(doc.get("seed", 0)),
+            jobs=int(doc.get("jobs", 1)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config {str(path)!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,15 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
-        return ExperimentConfig(
-            experiment=doc.get("experiment", ""),
-            parameters=doc.get("parameters", {}),
-            time_grid=tuple(doc.get("time_grid", (0.0, 5.0, 11))),
-            output=Path(doc.get("output", "geochaos-out")),
-            seed=int(doc.get("seed", 0)),
-            jobs=int(doc.get("jobs", 1)),
-        )
+        return _config_from_file(Path(args.config))
     if not args.experiment:
         raise ConfigError("no experiment given (see --help)")
     params: dict = {}
@@ -448,7 +470,7 @@ def _config_from_args(args) -> ExperimentConfig:
         params["window"] = _parse_window(args.window)
     if args.experiment == "sweep":
         params = {"experiment": args.target, "param": args.param,
-                  "values": [float(v) for v in args.values.split(",")]}
+                  "values": _parse_values(args.values)}
     output = args.output or Path(f"geochaos-{args.experiment}")
     output = Path(os.environ.get("GEOCHAOS_OUTPUT", output))
     return ExperimentConfig(experiment=args.experiment, parameters=params,

@@ -216,11 +216,6 @@ class SolverConfig:
 
 DEFAULT_SOLVER = SolverConfig()
 
-# a light profile for near-identity targets (finite-difference stencils)
-FAST_SOLVER = SolverConfig(n_starts=24, n_refine=3, direct_fallback="auto",
-                           n_restarts_direct=2, ode_steps=128,
-                           stabilizer_scan=8, max_iters=40)
-
 
 # ---------------------------------------------------------------------------
 # elementary path operations
@@ -702,7 +697,7 @@ def _solve_unitary(problem: _MatrixProblem, u_target: np.ndarray,
                    log_starts: bool = True) -> GeodesicResult:
     cfg = problem.cfg
     rng = np.random.default_rng(cfg.seed)
-    # identity shortcut far below any stencil strength worth resolving
+    # identity shortcut: nothing to solve this close to the identity
     if projective_distance(u_target, np.eye(problem.dim)) <= 1e-14:
         labels = problem.labels
         path = ProtocolPath.constant(labels, np.zeros(len(labels)), cfg.n_intervals)

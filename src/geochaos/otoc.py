@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .generators import HBAR, MATRIX, PHASE_SPACE, GeneratorSet
-from .response import DiffConfig, ResponseMatrix, unitary_response_matrix
+from .response import ResponseMatrix, unitary_response_matrix
 
 __all__ = [
     "TransferMatrix",
@@ -153,8 +153,7 @@ def check_correspondence(ru: ResponseMatrix, transfer: TransferMatrix,
     return float(np.abs(ru.entries @ t_block - o_block).max())
 
 
-def averaged_otoc_identity(psi, hamiltonian, gens: GeneratorSet, t: float,
-                           cfg: DiffConfig | None = None):
+def averaged_otoc_identity(psi, hamiltonian, gens: GeneratorSet, t: float):
     """Both sides of the state-averaged correspondence, as real matrices.
 
     Returns (lhs, rhs) with lhs = <psi| O^dag O |psi> and
@@ -169,7 +168,7 @@ def averaged_otoc_identity(psi, hamiltonian, gens: GeneratorSet, t: float,
     mean = np.asarray(getattr(psi, "mean"), dtype=float)
     if mean.size != 2 * gens.n_modes:
         raise ValueError("state does not match the generator set")
-    ru = unitary_response_matrix(hamiltonian, gens, t, cfg or DiffConfig())
+    ru = unitary_response_matrix(hamiltonian, gens, t)
     transfer = transfer_matrix(gens)
     otoc = otoc_matrix(hamiltonian, gens, t)
     keep = ru.labels

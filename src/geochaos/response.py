@@ -6,48 +6,37 @@ evolved perturbation with respect to its strength.  Its square L = R^T R
 defines a spectrum whose logarithmic growth rates are finite-time Lyapunov
 estimates.
 
-Two pipelines coexist:
+Every response matrix is the linearisation of an exact map and is computed
+in closed form, without geodesic solves:
 
 * phase-space (Heisenberg) generators with quadratic Hamiltonians -- the
-  perturbation stays a displacement, transported exactly by the classical
-  flow map; stencil differentiation is exact because everything is linear
-  in the strength.
-* matrix generators -- finite differences of geodesic-solver partials with
-  one Richardson extrapolation step (stencils at eps and eps/2).
+  perturbation stays a displacement carried by the classical flow map
+  S(t), so R_u = S(t)^T and the Gaussian state response R_s = S(t).
+* matrix generators -- R_u = Ad(U_t) in the costed generators, and R_s the
+  same rows projected off the directions that only rephase the evolved
+  reference state.
 
 Conventions: coefficient transports run forward in time, so the unitary
 flavor reproduces the closed-form hyperbolic response of the inverted
 oscillator entrywise, while the Gaussian state flavor equals the classical
 tangent map (rows follow the conjugate-coordinate pairing of the
 perturbing generator).  The two coincide for symmetric flows and always
-share singular values.
+share singular values.  The correspondence R_u T = O(t) of ``otoc`` is the
+same statement for the phase-space kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .generators import (
-    PHASE_SPACE,
-    DisplacementVector,
-    GeneratorSet,
-    conjugate_by_quadratic_flow,
-)
-from .geometry import (
-    FAST_SOLVER,
-    CostWeights,
-    SolverConfig,
-    heisenberg_complexity,
-    state_complexity,
-    unitary_complexity,
-)
+from .generators import PHASE_SPACE, GeneratorSet
+from .geometry import _normalized
 
 __all__ = [
-    "DiffConfig",
     "ResponseMatrix",
     "ResponseSpectrum",
     "LyapunovEstimate",
@@ -57,23 +46,12 @@ __all__ = [
     "lyapunov_spectrum",
 ]
 
-
-@dataclass(frozen=True)
-class DiffConfig:
-    """Finite-difference stencil settings for response matrices.
-
-    An entry is flagged unreliable when halving the step changes the
-    central difference by more than ``flag_threshold * max(1, |entry|)`` --
-    the signature of a non-smooth geodesic branch under the stencil.
-    """
-
-    epsilon: float = 1e-5
-    richardson: bool = True
-    flag_threshold: float = 1e-3
-    solver: SolverConfig = field(default_factory=lambda: FAST_SOLVER)
-
-
-DEFAULT_DIFF = DiffConfig()
+# relative residual above which a conjugated generator counts as outside
+# the costed span, and relative singular value below which a costed
+# direction only rephases the reference state
+SPAN_TOL = 1e-10
+# relative defect |R^T J R - J| / max(1, |R|^2) under which R is symplectic
+SYMPLECTIC_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +62,8 @@ class ResponseMatrix:
     entries: np.ndarray  # (n, n) real; row = perturbation, column = measured
     time: float
     labels: tuple[str, ...]
-    epsilon_used: float
-    reliable: np.ndarray | None = None  # per-entry stencil-consistency flags
+    epsilon_used: float  # 0.0 for the closed forms
+    reliable: np.ndarray | None = None  # per-entry flags, all True by default
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -147,183 +125,116 @@ class LyapunovEstimate:
 
 
 # ---------------------------------------------------------------------------
-# stencil helpers
-
-
-def _stencil(partials_at, eps: float, richardson: bool, flag_threshold: float):
-    """Central differences with one Richardson step over vector outputs.
-
-    ``partials_at(s)`` returns the measured partial-complexity vector at
-    strength s.  Returns (derivative, reliable_mask).
-    """
-    d_full = (partials_at(eps) - partials_at(-eps)) / (2.0 * eps)
-    if not richardson:
-        return d_full, np.ones_like(d_full, dtype=bool)
-    d_half = (partials_at(eps / 2) - partials_at(-eps / 2)) / eps
-    deriv = (4.0 * d_half - d_full) / 3.0
-    change = np.abs(d_half - d_full)
-    ok = change <= flag_threshold * np.maximum(1.0, np.abs(deriv))
-    return deriv, ok
-
-
-# ---------------------------------------------------------------------------
 # unitary flavor
 
 
-def unitary_response_matrix(hamiltonian, gens: GeneratorSet, t: float,
-                            cfg: DiffConfig = DEFAULT_DIFF) -> ResponseMatrix:
+def unitary_response_matrix(hamiltonian, gens: GeneratorSet,
+                            t: float) -> ResponseMatrix:
     """Response of unitary partial complexities to generator perturbations.
 
-    Phase-space kind: the perturbation ``exp(i eps M_K)`` is a displacement,
-    conjugated through the quadratic flow exactly; partial complexities are
-    the straight-line geodesic components.  Matrix kind: the conjugated
-    target is synthesised with matrix exponentials and its partials come
-    from the geodesic solver at each stencil point.
+    The perturbation ``exp(-i eps M_K)`` conjugated through the evolution is
+    ``exp(-i eps U_t M_K U_t^dag)``, whose near-identity geodesic has the
+    basis components of ``U_t M_K U_t^dag`` as partials.  Phase-space kind:
+    the components ride the forward flow map, so R_u = S(t)^T.  Matrix kind:
+    R_u = Ad(U_t) in the costed generators; a ``ValueError`` is raised when
+    some conjugated generator leaves their span.
     """
     if gens.kind == PHASE_SPACE:
-        return _unitary_response_displacement(hamiltonian, gens, t, cfg)
-    return _unitary_response_matrix_kind(hamiltonian, gens, t, cfg)
-
-
-def _unitary_response_displacement(hamiltonian, gens, t, cfg) -> ResponseMatrix:
-    n = gens.n_modes
-    labels = gens.costed_labels()
-    weights = CostWeights.isotropic(gens)
-    m = len(labels)
-
-    def row(k_idx: int):
-        def partials_at(s: float) -> np.ndarray:
-            coeffs = np.zeros(2 * n)
-            coeffs[k_idx] = s
-            disp = DisplacementVector(coeffs[:n], coeffs[n:])
-            moved = conjugate_by_quadratic_flow(disp, hamiltonian, t)
-            geo = heisenberg_complexity(moved, weights, gens)
-            return np.array([geo.partials[l] for l in labels])
-
-        return _stencil(partials_at, cfg.epsilon, cfg.richardson,
-                        cfg.flag_threshold)
-
-    entries = np.empty((m, m))
-    reliable = np.empty((m, m), dtype=bool)
-    for i in range(m):
-        entries[i], reliable[i] = row(i)
+        entries = _flow_matrix(hamiltonian, gens, t).T
+    else:
+        entries = _adjoint_rows(_propagator(hamiltonian, gens, t), gens)
     return ResponseMatrix(flavor="unitary", entries=entries, time=float(t),
-                          labels=labels, epsilon_used=cfg.epsilon,
-                          reliable=reliable)
+                          labels=gens.costed_labels(), epsilon_used=0.0)
 
 
-def _unitary_response_matrix_kind(hamiltonian, gens, t, cfg) -> ResponseMatrix:
+def _flow_matrix(hamiltonian, gens: GeneratorSet, t: float) -> np.ndarray:
+    flow = getattr(hamiltonian, "flow_matrix", None)
+    if flow is None:
+        raise TypeError("the phase-space pipeline needs a quadratic Hamiltonian "
+                        "(exposing flow_matrix(t))")
+    s = np.asarray(flow(t), dtype=float)
+    n = gens.n_modes
+    if s.shape != (2 * n, 2 * n):
+        raise ValueError(f"flow matrix shape {s.shape} does not match the "
+                         f"{n}-mode generator set")
+    return s
+
+
+def _propagator(hamiltonian, gens: GeneratorSet, t: float) -> np.ndarray:
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (gens.dim, gens.dim):
         raise ValueError("Hamiltonian dimension does not match the generators")
-    u_t = expm(-1j * h * t)
-    labels = gens.costed_labels()
-    weights = CostWeights.isotropic(gens)
-    mats = [gens.generators[i].matrix for i in gens.costed_indices()]
-    m = len(labels)
-    entries = np.empty((m, m))
-    reliable = np.empty((m, m), dtype=bool)
-    for i, mk in enumerate(mats):
-        multiplicities: list[int] = []
+    return expm(-1j * h * t)
 
-        # strengths are oriented in protocol-path coordinates (endpoint
-        # exp(-i Y.M)), so a t=0 perturbation along M_K reports unit
-        # partial along M_K
-        def partials_at(s: float) -> np.ndarray:
-            target = u_t @ expm(-1j * s * mk) @ u_t.conj().T
-            geo = unitary_complexity(target, gens, weights, cfg.solver)
-            if not geo.converged:
-                raise RuntimeError(
-                    f"geodesic solver did not converge at stencil point "
-                    f"(generator {labels[i]!r}, strength {s:g})")
-            multiplicities.append(geo.multiplicity)
-            return np.array([geo.partials[l] for l in labels])
 
-        entries[i], reliable[i] = _stencil(partials_at, cfg.epsilon,
-                                           cfg.richardson, cfg.flag_threshold)
-        if len(set(multiplicities)) > 1:
-            # the geodesic branch switched across the stencil
-            reliable[i] = False
-    return ResponseMatrix(flavor="unitary", entries=entries, time=float(t),
-                          labels=labels, epsilon_used=cfg.epsilon,
-                          reliable=reliable)
+def _adjoint_rows(u: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    """Row K: components of U M_K U^dag in the costed generators.
+
+    Endpoints are compared modulo global phase, so trace parts are dropped
+    before the Hilbert-Schmidt Gram solve.
+    """
+    d = gens.dim
+    basis = np.stack([gens.generators[i].matrix for i in gens.costed_indices()])
+    basis = basis - np.trace(basis, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+    moved = (u @ basis @ u.conj().T).reshape(len(basis), -1)
+    flat = basis.reshape(len(basis), -1)
+    gram = (flat.conj() @ flat.T).real
+    rows = np.linalg.solve(gram, (flat.conj() @ moved.T).real).T
+    misfit = np.linalg.norm(moved - rows @ flat, axis=1)
+    scale = np.linalg.norm(moved, axis=1)
+    for label, off, size in zip(gens.costed_labels(), misfit, scale):
+        if off > SPAN_TOL * size:
+            raise ValueError(f"U_t {label} U_t^dag leaves the span of the costed "
+                             f"generators (relative residual {off / size:.2e})")
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # state flavor
 
 
-def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet, t: float,
-                          cfg: DiffConfig = DEFAULT_DIFF) -> ResponseMatrix:
+def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet,
+                          t: float) -> ResponseMatrix:
     """Response of relative-state partial complexities to perturbations.
 
     Gaussian pipeline (phase-space kind, ``psi0`` a Gaussian Wigner state):
     both states stay Gaussian with a common covariance under quadratic
     evolution, so their relative displacement is exact and linear in the
-    strength -- the derivative needs no stencil.  The entries equal the
-    classical tangent map of the flow; rows are indexed through the
-    conjugate-coordinate pairing of the perturbing generator.
+    strength; the entries are the classical tangent map S(t) itself, rows
+    indexed through the conjugate-coordinate pairing of the perturbing
+    generator.
 
-    Matrix pipeline: central differences of state-complexity partials for
-    ``psi2(t) = exp(-iHt) exp(i eps M_K) psi0`` against ``psi1(t)``.
+    Matrix pipeline: ``psi2(t) = exp(-iHt) exp(-i eps M_K) psi0`` differs
+    from ``psi1(t) = exp(-iHt) psi0`` by ``exp(-i eps U_t M_K U_t^dag)``.
+    Directions Y that only rephase psi1, i.e. (Y - <psi1|Y|psi1>) psi1 = 0,
+    cost nothing, so each Ad(U_t) row is projected orthogonally off that
+    kernel (for a qubit: R_s = Ad(U_t) (I - n n^T), n the Bloch vector of
+    psi1).
     """
     if gens.kind == PHASE_SPACE:
-        return _state_response_gaussian(psi0, hamiltonian, gens, t)
-    return _state_response_matrix_kind(psi0, hamiltonian, gens, t, cfg)
-
-
-def _state_response_gaussian(psi0, hamiltonian, gens, t) -> ResponseMatrix:
-    mean = np.asarray(getattr(psi0, "mean"), dtype=float)
-    n = gens.n_modes
-    if mean.size != 2 * n:
-        raise ValueError("state dimension does not match the generator set")
-    flow = getattr(hamiltonian, "flow_matrix", None)
-    if flow is None:
-        raise TypeError("the Gaussian pipeline needs a quadratic Hamiltonian")
-    s = np.asarray(flow(t), dtype=float)
-    labels = gens.costed_labels()
-    # evolved relative displacement per initial coordinate shift; exact in eps
-    entries = np.empty((2 * n, 2 * n))
-    base = s @ mean
-    for k in range(2 * n):
-        shifted = s @ (mean + np.eye(2 * n)[k])
-        entries[:, k] = shifted - base
+        mean = np.asarray(getattr(psi0, "mean"), dtype=float)
+        if mean.size != 2 * gens.n_modes:
+            raise ValueError("state dimension does not match the generator set")
+        entries = _flow_matrix(hamiltonian, gens, t)
+    else:
+        psi0 = _normalized(psi0)
+        if psi0.size != gens.dim:
+            raise ValueError("state dimension does not match the generator set")
+        u = _propagator(hamiltonian, gens, t)
+        entries = _adjoint_rows(u, gens) @ _transverse_projector(u @ psi0, gens)
     return ResponseMatrix(flavor="state", entries=entries, time=float(t),
-                          labels=labels, epsilon_used=0.0)
+                          labels=gens.costed_labels(), epsilon_used=0.0)
 
 
-def _state_response_matrix_kind(psi0, hamiltonian, gens, t, cfg) -> ResponseMatrix:
-    psi0 = np.asarray(psi0, dtype=complex).ravel()
-    h = np.asarray(hamiltonian, dtype=complex)
-    u_t = expm(-1j * h * t)
-    psi1 = u_t @ psi0
-    labels = gens.costed_labels()
-    weights = CostWeights.isotropic(gens)
-    mats = [gens.generators[i].matrix for i in gens.costed_indices()]
-    m = len(labels)
-    entries = np.empty((m, m))
-    reliable = np.empty((m, m), dtype=bool)
-    for i, mk in enumerate(mats):
-        multiplicities: list[int] = []
-
-        # protocol-path strength orientation, as in the unitary flavor
-        def partials_at(s: float) -> np.ndarray:
-            psi2 = u_t @ (expm(-1j * s * mk) @ psi0)
-            geo = state_complexity(psi1, psi2, gens, weights, cfg.solver)
-            if not geo.converged:
-                raise RuntimeError(
-                    f"state geodesic solve failed at stencil point "
-                    f"(generator {labels[i]!r}, strength {s:g})")
-            multiplicities.append(geo.multiplicity)
-            return np.array([geo.partials[l] for l in labels])
-
-        entries[i], reliable[i] = _stencil(partials_at, cfg.epsilon,
-                                           cfg.richardson, cfg.flag_threshold)
-        if len(set(multiplicities)) > 1:
-            reliable[i] = False
-    return ResponseMatrix(flavor="state", entries=entries, time=float(t),
-                          labels=labels, epsilon_used=cfg.epsilon,
-                          reliable=reliable)
+def _transverse_projector(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    """Orthogonal projector off the costed directions that only rephase psi."""
+    mats = np.stack([gens.generators[i].matrix for i in gens.costed_indices()])
+    moved = mats @ psi
+    moved -= np.outer(moved @ psi.conj(), psi)
+    tangent = np.concatenate([moved.real, moved.imag], axis=1)  # (m, 2d)
+    _, sv, vt = np.linalg.svd(tangent.T)
+    rank = int(np.sum(sv > SPAN_TOL * sv[0]))
+    return vt[:rank].T @ vt[:rank]
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +244,32 @@ def _state_response_matrix_kind(psi0, hamiltonian, gens, t, cfg) -> ResponseMatr
 def response_spectrum(r: ResponseMatrix) -> ResponseSpectrum:
     """L = R^T R and its eigenvalues, sorted descending.
 
-    The eigenvalues are computed as squared singular values of R, which
-    keeps the contracting branch accurate long after direct diagonalisation
-    of L would drown it in the expanding one.
+    The eigenvalues are squared singular values of R.  An SVD resolves the
+    small ones only to ~1e-16 times the largest, so the contracting
+    eigenvalue carries a relative error of ~1e-16 times the expanding one.
+    When R is symplectic (even dimension, R^T J R = J to rounding) its
+    spectrum pairs as (s, 1/s), and the contracting half is taken as the
+    reciprocals of the expanding half.
     """
     if not r.is_square:
         raise ValueError("response matrix must be square")
-    l_matrix = r.entries.T @ r.entries
-    singular = np.linalg.svd(r.entries, compute_uv=False)
-    eigenvalues = np.sort(singular**2)[::-1]
+    entries = r.entries
+    l_matrix = entries.T @ entries
+    eigenvalues = np.sort(np.linalg.svd(entries, compute_uv=False) ** 2)[::-1]
+    m = entries.shape[0]
+    if m % 2 == 0 and _is_symplectic(entries):
+        upper = eigenvalues[: m // 2]
+        eigenvalues = np.concatenate([upper, 1.0 / upper[::-1]])
     return ResponseSpectrum(l_matrix=l_matrix, eigenvalues=eigenvalues,
                             time=r.time)
+
+
+def _is_symplectic(m: np.ndarray) -> bool:
+    from .classical import symplectic_form  # classical imports this module
+
+    j = symplectic_form(m.shape[0] // 2)
+    scale = max(1.0, float(np.abs(m).max()) ** 2)
+    return float(np.abs(m.T @ j @ m - j).max()) <= SYMPLECTIC_TOL * scale
 
 
 def lyapunov_spectrum(spectra: Sequence[ResponseSpectrum],

@@ -105,6 +105,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("case", [
+    "window", "sweep_values", "missing_config", "malformed_config",
+    "fractional_grid_count", "text_grid_start"])
+def test_cli_parse_errors_exit_2(tmp_path, case):
+    out = str(tmp_path / "out")
+    bad_grid = tmp_path / "grid.json"
+    bad_grid.write_text(json.dumps({"experiment": "iho-response",
+                                    "time_grid": [0, 3, 4.5], "output": out}))
+    text_grid = tmp_path / "text_grid.json"
+    text_grid.write_text(json.dumps({"experiment": "iho-response",
+                                     "time_grid": ["a", 3, 5], "output": out}))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{experiment: ")
+    argv = {
+        "window": ["lyapunov", "--window", "a:b", "--output", out],
+        "sweep_values": ["sweep", "--experiment", "lyapunov", "--param", "omega",
+                         "--values", "1,x", "--output", out],
+        "missing_config": ["--config", str(tmp_path / "absent.json")],
+        "malformed_config": ["--config", str(malformed)],
+        "fractional_grid_count": ["--config", str(bad_grid)],
+        "text_grid_start": ["--config", str(text_grid)],
+    }[case]
+    assert main(argv) == 2
+
+
 def test_cli_pipeline_failure_exit_code(tmp_path):
     clash = tmp_path / "file"
     clash.write_text("occupied")

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from geochaos.classical import (
     GaussianWignerState,
+    QuadraticHamiltonian,
     free_particle,
     harmonic_oscillator,
     inverted_oscillator,
@@ -94,6 +97,21 @@ def test_correspondence_harmonic_any_time():
         ru = unitary_response_matrix(ham, HEIS, float(t))
         o = otoc_matrix(ham, HEIS, float(t))
         assert check_correspondence(ru, tm, o) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.lists(
+           st.floats(min_value=-2.0, max_value=2.0),
+           min_size=4 * n * n, max_size=4 * n * n)),
+       st.floats(min_value=0.0, max_value=5.0))
+def test_correspondence_residual_property(values, t):
+    size = int(round(np.sqrt(len(values))))
+    a = np.reshape(values, (size, size))
+    ham = QuadraticHamiltonian((a + a.T) / 2)
+    gens = heisenberg_generators(size // 2)
+    ru = unitary_response_matrix(ham, gens, t)
+    resid = check_correspondence(ru, transfer_matrix(gens), otoc_matrix(ham, gens, t))
+    assert resid <= 1e-12 * max(1.0, float(np.abs(ru.entries).max()))
 
 
 def test_correspondence_needs_phase_space_entries():

@@ -2,19 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from _fd_oracle import unitary_response_fd
 from geochaos.classical import (
     GaussianWignerState,
+    QuadraticHamiltonian,
     free_particle,
     harmonic_oscillator,
     inverted_oscillator,
     jacobian_matrix,
+    symplectic_form,
 )
-from geochaos.generators import heisenberg_generators, pauli_generators
-from geochaos.geometry import FAST_SOLVER, bloch_vector
+from geochaos.generators import (
+    DisplacementVector,
+    Generator,
+    GeneratorSet,
+    conjugate_by_quadratic_flow,
+    heisenberg_generators,
+    pauli_generators,
+)
+from geochaos.geometry import CostWeights, bloch_vector, heisenberg_complexity
 from geochaos.response import (
-    DiffConfig,
     ResponseMatrix,
     ResponseSpectrum,
     lyapunov_spectrum,
@@ -25,6 +36,22 @@ from geochaos.response import (
 
 HEIS = heisenberg_generators()
 PAULIS = pauli_generators()
+PROPERTY = settings(max_examples=60, deadline=None)
+finite = st.floats(min_value=-2.0, max_value=2.0)
+
+
+def symmetric_forms(n_modes):
+    size = 2 * n_modes
+    return st.lists(finite, min_size=size * size, max_size=size * size).map(
+        lambda v: np.add(np.reshape(v, (size, size)),
+                         np.reshape(v, (size, size)).T) / 2)
+
+
+def adjoint_oracle(u):
+    """Pauli components of U sigma_i U^dag by the trace formula, row i."""
+    mats = [g.matrix for g in PAULIS]
+    return np.array([[np.real(np.trace(mj @ u @ mi @ u.conj().T)) / 2
+                      for mj in mats] for mi in mats])
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +96,33 @@ def test_free_particle_response_polynomial():
     assert np.abs(r.entries - [[1.0, 0.0], [3.0, 1.0]]).max() <= 1e-10
 
 
+@PROPERTY
+@given(st.integers(1, 2).flatmap(symmetric_forms),
+       st.floats(min_value=0.0, max_value=4.0))
+def test_displacement_response_is_transposed_flow(a, t):
+    # row K: partials of the transported unit displacement along K
+    ham = QuadraticHamiltonian(a)
+    n = ham.n_modes
+    gens = heisenberg_generators(n)
+    weights = CostWeights.isotropic(gens)
+    r = unitary_response_matrix(ham, gens, t)
+    for k, label in enumerate(r.labels):
+        unit = np.eye(2 * n)[k]
+        moved = conjugate_by_quadratic_flow(DisplacementVector(unit[:n], unit[n:]),
+                                            ham, t)
+        partials = heisenberg_complexity(moved, weights, gens).partials
+        assert r.entries[k] == pytest.approx([partials[l] for l in r.labels],
+                                             rel=1e-12, abs=1e-12)
+    assert np.array_equal(r.entries, ham.flow_matrix(t).T)
+
+
 # ---------------------------------------------------------------------------
 # unitary flavor, matrix pipeline
 
 
 def test_matrix_response_zero_time_identity():
-    cfg = DiffConfig()
-    r = unitary_response_matrix(PAULIS.generators[2].matrix, PAULIS, 0.0, cfg)
-    assert np.abs(r.entries - np.eye(3)).max() <= 10 * cfg.epsilon
+    r = unitary_response_matrix(PAULIS.generators[2].matrix, PAULIS, 0.0)
+    assert np.abs(r.entries - np.eye(3)).max() <= 1e-12
 
 
 def test_matrix_response_matches_adjoint_rotation():
@@ -85,14 +131,67 @@ def test_matrix_response_matches_adjoint_rotation():
     h = PAULIS.generators[2].matrix
     t = 0.3
     r = unitary_response_matrix(h, PAULIS, t)
-    u = expm(-1j * h * t)
-    mats = [g.matrix for g in PAULIS]
-    pred = np.empty((3, 3))
-    for i, m in enumerate(mats):
-        conj = u @ m @ u.conj().T
-        pred[i] = [np.real(np.trace(mm.conj().T @ conj)) / 2 for mm in mats]
+    pred = adjoint_oracle(expm(-1j * h * t))
     assert np.abs(r.entries - pred).max() <= 1e-6
     assert abs(np.linalg.det(r.entries) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("h, t", [
+    (PAULIS.generators[2].matrix, 0.3),
+    (0.4 * PAULIS.generators[0].matrix - 0.5 * PAULIS.generators[1].matrix
+     + 0.6 * PAULIS.generators[2].matrix, 0.9),
+], ids=["sigma_z", "generic_axis"])
+def test_matrix_response_matches_finite_difference_oracle(h, t):
+    r = unitary_response_matrix(h, PAULIS, t)
+    assert np.abs(r.entries - unitary_response_fd(h, PAULIS, t)).max() <= 1e-6
+
+
+@PROPERTY
+@given(st.lists(finite, min_size=4, max_size=4),
+       st.floats(min_value=0.0, max_value=5.0))
+def test_matrix_response_is_rotation(coeffs, t):
+    c0, cx, cy, cz = coeffs
+    mats = [g.matrix for g in PAULIS]
+    h = c0 * np.eye(2) + cx * mats[0] + cy * mats[1] + cz * mats[2]
+    r = unitary_response_matrix(h, PAULIS, t).entries
+    assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-12
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(r - adjoint_oracle(expm(-1j * h * t))).max() <= 1e-12
+
+
+def test_matrix_response_ignores_trace_parts():
+    # endpoints are compared modulo global phase, so the projector
+    # |0><0| = (1 + sigma_z) / 2 acts as the basis element sigma_z / 2
+    mats = [g.matrix for g in PAULIS]
+    gens = GeneratorSet((Generator.from_matrix("x", mats[0]),
+                         Generator.from_matrix("y", mats[1]),
+                         Generator.from_matrix("p0", np.diag([1.0, 0.0]))))
+    h = 0.4 * mats[0] + 0.2 * mats[1] - 0.7 * mats[2]
+    scale = np.diag([1.0, 1.0, 0.5])
+    pred = scale @ adjoint_oracle(expm(-1j * h * 0.6)) @ np.linalg.inv(scale)
+    r = unitary_response_matrix(h, gens, 0.6)
+    assert np.abs(r.entries - pred).max() <= 1e-12
+
+
+def local_pauli_generators():
+    mats = [g.matrix for g in PAULIS]
+    gens = [Generator.from_matrix(f"{p}{site + 1}",
+                                  np.kron(m, np.eye(2)) if site == 0
+                                  else np.kron(np.eye(2), m))
+            for site in (0, 1) for p, m in zip("xyz", mats)]
+    return GeneratorSet(tuple(gens))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=0.1, max_value=1.4))
+def test_matrix_response_rejects_leaving_the_span(t):
+    # exp(-i t Z Z) turns x1 into cos(2t) x1 + sin(2t) y1 z2, which no
+    # local Pauli combination reaches
+    zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="leaves the span"):
+        unitary_response_matrix(zz, local_pauli_generators(), t)
+    with pytest.raises(ValueError, match="leaves the span"):
+        state_response_matrix(np.eye(4)[0], zz, local_pauli_generators(), t)
 
 
 # ---------------------------------------------------------------------------
@@ -127,39 +226,46 @@ def test_gaussian_state_response_equals_tangent_map():
             assert np.abs(rs.entries - jac).max() <= 1e-6 * scale
 
 
+@PROPERTY
+@given(st.lists(st.floats(min_value=-1e13, max_value=1e13), min_size=2, max_size=2),
+       st.sampled_from([inverted_oscillator(1.0), harmonic_oscillator(0.7),
+                        free_particle()]),
+       st.floats(min_value=0.0, max_value=3.0))
+def test_gaussian_state_response_is_flow_at_any_mean(mean, ham, t):
+    # differencing S(m + e_k) - S m lost digits to cancellation at large |m|
+    state = GaussianWignerState(np.array(mean), 0.5 * np.eye(2))
+    rs = state_response_matrix(state, ham, HEIS, t)
+    assert np.array_equal(rs.entries, ham.flow_matrix(t))
+
+
 def test_gaussian_pipeline_rejects_nonquadratic():
     with pytest.raises(TypeError):
         state_response_matrix(GaussianWignerState.vacuum(), object(), HEIS, 1.0)
 
 
-def test_matrix_state_response_projected_adjoint_block():
-    # at |+>, perturbations along the instantaneous stabilizer direction
-    # cost nothing: the response is the adjoint rotation projected
-    # transverse to the evolved Bloch axis
-    h = PAULIS.generators[2].matrix
-    t = 0.15
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    cfg = DiffConfig(richardson=False, solver=FAST_SOLVER)
-    rs = state_response_matrix(plus, h, PAULIS, t, cfg)
-    u = expm(-1j * h * t)
+def test_matrix_state_response_projected_adjoint_generic_state():
+    # perturbations along the stabilizer of the evolved state cost nothing:
+    # the response is the adjoint rotation projected transverse to the
+    # evolved Bloch axis n, with n_j = <psi1|sigma_j|psi1>
     mats = [g.matrix for g in PAULIS]
-    adj = np.empty((3, 3))
-    for i, m in enumerate(mats):
-        conj = u @ m @ u.conj().T
-        adj[i] = [np.real(np.trace(mm.conj().T @ conj)) / 2 for mm in mats]
-    axis = bloch_vector(u @ plus)
-    proj = np.eye(3) - np.outer(axis, axis)
-    pred = adj @ proj
-    assert np.abs(rs.entries[:2, :2] - pred[:2, :2]).max() <= 1e-4
+    h = 0.3 * mats[0] + 0.7 * mats[2]
+    t = 0.8
+    psi0 = np.array([np.cos(0.4), np.exp(0.7j) * np.sin(0.4)])
+    rs = state_response_matrix(psi0, h, PAULIS, t)
+    u = expm(-1j * h * t)
+    psi1 = u @ psi0
+    axis = np.array([np.real(np.vdot(psi1, m @ psi1)) for m in mats])
+    pred = adjoint_oracle(u) @ (np.eye(3) - np.outer(axis, axis))
+    assert np.abs(rs.entries - pred).max() <= 1e-10
+    assert np.abs(rs.entries @ axis).max() <= 1e-12
 
 
 def test_matrix_state_response_zero_time_projector():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    cfg = DiffConfig(richardson=False, solver=FAST_SOLVER)
-    rs = state_response_matrix(plus, PAULIS.generators[2].matrix, PAULIS, 0.0, cfg)
+    rs = state_response_matrix(plus, PAULIS.generators[2].matrix, PAULIS, 0.0)
     axis = bloch_vector(plus)
     pred = np.eye(3) - np.outer(axis, axis)
-    assert np.abs(rs.entries - pred).max() <= 10 * cfg.epsilon
+    assert np.abs(rs.entries - pred).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +341,25 @@ def test_lyapunov_harmonic_window():
     assert np.abs(est.lambdas).max() <= 0.05
 
 
+def test_lyapunov_iho_strong_hyperbolicity():
+    # at omega = 2 the expanding eigenvalue reaches e^40 by t = 10, far past
+    # where an SVD still resolves the contracting one
+    ham = inverted_oscillator(2.0)
+    spectra = [response_spectrum(unitary_response_matrix(ham, HEIS, float(t)))
+               for t in np.linspace(5, 10, 11)]
+    est = lyapunov_spectrum(spectra, (5.0, 10.0))
+    assert np.abs(est.lambdas - [2.0, -2.0]).max() <= 0.01
+    assert np.prod(spectra[-1].eigenvalues) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_spectrum_non_symplectic_keeps_svd():
+    m = np.diag([4.0, 0.5])
+    assert np.abs(m.T @ symplectic_form(1) @ m - symplectic_form(1)).max() > 0.5
+    r = ResponseMatrix(flavor="unitary", entries=m, time=0.0,
+                       labels=("a", "b"), epsilon_used=0.0)
+    assert np.array_equal(response_spectrum(r).eigenvalues, [16.0, 0.25])
+
+
 def test_lyapunov_needs_enough_points():
     spectra = synthetic_spectra([0.5, -0.5], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
@@ -247,17 +372,3 @@ def test_lyapunov_rejects_nonpositive_eigenvalues():
                            eigenvalues=np.array([1.0, 0.0]), time=2.5)
     with pytest.raises(ValueError):
         lyapunov_spectrum(spectra + [bad], (1.0, 3.0))
-
-
-# ---------------------------------------------------------------------------
-# stencil reliability flags
-
-
-def test_richardson_flags_non_smooth_branch():
-    from geochaos.response import _stencil
-
-    smooth, ok = _stencil(lambda s: np.array([np.sin(s)]), 1e-5, True, 1e-3)
-    assert ok.all() and smooth[0] == pytest.approx(1.0, abs=1e-10)
-    # square-root branch point: the estimate keeps drifting under halving
-    _, ok = _stencil(lambda s: np.array([np.sqrt(max(s, 0.0))]), 1e-5, True, 1e-3)
-    assert not ok.any()
