@@ -27,6 +27,8 @@ from .generators import heisenberg_generators, pauli_generators
 
 EXPERIMENTS = ("iho-response", "lyapunov", "otoc-check", "qubit-geodesic",
                "state-response", "sweep")
+# the phase-space pipelines need an exact flow_matrix(t)
+QUADRATIC_SYSTEMS = ("iho", "harmonic", "free")
 
 
 class ConfigError(ValueError):
@@ -58,6 +60,20 @@ class ExperimentConfig:
             raise ConfigError("time grid needs at least 2 points")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not isinstance(self.parameters, dict):
+            raise ConfigError("parameters must be a JSON object")
+        if self.experiment in ("lyapunov", "state-response"):
+            systems = [self.parameters.get("system", "iho")]
+        elif self.experiment == "otoc-check":
+            systems = self.parameters.get("systems", QUADRATIC_SYSTEMS)
+            if not isinstance(systems, (list, tuple)):
+                raise ConfigError("otoc-check systems must be a list of names")
+        else:
+            systems = []
+        for name in systems:
+            if name not in QUADRATIC_SYSTEMS:
+                raise ConfigError(f"{self.experiment} needs a quadratic system, "
+                                  f"one of {list(QUADRATIC_SYSTEMS)}; got {name!r}")
 
     def times(self) -> np.ndarray:
         t0, t1, n = self.time_grid
@@ -170,7 +186,7 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
 
 def _run_otoc_check(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     omega = float(cfg.parameters.get("omega", 1.0))
-    systems = cfg.parameters.get("systems", ("iho", "harmonic", "free"))
+    systems = cfg.parameters.get("systems", QUADRATIC_SYSTEMS)
     gens = heisenberg_generators()
     rows = []
     worst = 0.0
@@ -428,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lyapunov", parents=[common],
                        help="exponents from the response spectrum + benchmark")
-    p.add_argument("--system", choices=("iho", "harmonic", "free"), default="iho")
+    p.add_argument("--system", choices=QUADRATIC_SYSTEMS, default="iho")
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--window", type=str, default="5:10")
 
@@ -443,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state-response", parents=[common],
                        help="Gaussian state response vs the tangent map")
-    p.add_argument("--system", choices=("iho", "harmonic", "free"), default="iho")
+    p.add_argument("--system", choices=QUADRATIC_SYSTEMS, default="iho")
     p.add_argument("--omega", type=float, default=1.0)
 
     p = sub.add_parser("sweep", parents=[common],

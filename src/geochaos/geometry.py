@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet, logm
+from scipy.linalg import logm
 from scipy.optimize import minimize, minimize_scalar
 
 from .generators import (
@@ -233,12 +233,15 @@ def _su2_exp(y: np.ndarray) -> np.ndarray:
     """exp(-i (y . sigma)) for a batch of Pauli vectors y (..., 3)."""
     y = np.asarray(y, dtype=float)
     theta = np.linalg.norm(y, axis=-1)
-    safe = np.where(theta < 1e-300, 1.0, theta)
-    n = y / safe[..., None]
     c = np.cos(theta)
-    s = np.where(theta < 1e-300, 0.0, np.sin(theta))
-    nsig = np.einsum("...k,kab->...ab", n, _PAULI)
-    return c[..., None, None] * np.eye(2) - 1j * s[..., None, None] * nsig
+    # sin(theta) times the unit axis, written entrywise into the result
+    s = y * (np.sin(theta) / np.where(theta < 1e-300, 1.0, theta))[..., None]
+    out = np.empty(y.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = c - 1j * s[..., 2]
+    out[..., 0, 1] = -s[..., 1] - 1j * s[..., 0]
+    out[..., 1, 0] = s[..., 1] - 1j * s[..., 0]
+    out[..., 1, 1] = c + 1j * s[..., 2]
+    return out
 
 
 def path_endpoint(path: ProtocolPath, gens: GeneratorSet) -> np.ndarray:
@@ -253,20 +256,13 @@ def path_endpoint(path: ProtocolPath, gens: GeneratorSet) -> np.ndarray:
     cols = [path.control(g.label) for g in gens]
     controls = np.stack(cols, axis=1)  # (n, n_gens)
     ds = 1.0 / path.n_intervals
-    mats = gens.matrices()
-    u = np.eye(gens.dim, dtype=complex)
     if gens.dim == 2:
         vec, tr = _su2_components(gens)
-        y = controls @ vec * ds
         phases = np.exp(-1j * ds * controls @ tr)
-        steps = _su2_exp(y) * phases[:, None, None]
-        for a in steps:
-            u = a @ u
-        return u
-    for row in controls:
-        h = np.einsum("g,gab->ab", row, mats)
-        u = expm(-1j * ds * h) @ u
-    return u
+        steps = _su2_exp(controls @ vec * ds) * phases[:, None, None]
+    else:
+        steps = _exp_hermitian(ds * np.tensordot(controls, gens.matrices(), axes=(1, 0)))
+    return _ordered_product(steps)
 
 
 def path_cost(path: ProtocolPath, weights: CostWeights) -> float:
@@ -373,9 +369,60 @@ def _structure_constants(gens: GeneratorSet, indices: Sequence[int],
     return g
 
 
-def _geodesic_rhs(y: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _flow_tensor(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The velocity equation dy/ds = vec(y y^T) @ K as one (n*n, n) matrix K.
+
+    K[(a, d), c] = -g[a, c, d] w_d / w_c folds the structure constants and
+    the weights of the right-invariant metric into a single matmul.
+    """
+    n = w.size
+    return -(g.transpose(0, 2, 1) * w[None, :, None]).reshape(n * n, n) / w
+
+
+def _geodesic_rhs(y: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Velocity equation of the right-invariant weighted metric."""
-    return -np.einsum("acd,...a,...d->...c", g, y, y * w) / w
+    n = y.shape[-1]
+    return (y[..., :, None] * y[..., None, :]).reshape(*y.shape[:-1], n * n) @ k
+
+
+def _exp_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for a batch of Hermitian matrices (..., d, d), by eigh."""
+    lam, v = np.linalg.eigh(h)
+    vh = v.conj().swapaxes(-1, -2)
+    v *= np.exp(-1j * lam)[..., None, :]
+    return v @ vh
+
+
+def _ordered_product(factors: np.ndarray) -> np.ndarray:
+    """F[N-1] @ ... @ F[1] @ F[0] over the leading axis of factors (N, ..., d, d).
+
+    Adjacent factors are multiplied pairwise, halving the stack each round,
+    so the ordered product takes log2(N) batched matmuls.
+    """
+    f = factors
+    while f.shape[0] > 1:
+        even = f.shape[0] - f.shape[0] % 2
+        paired = f[1:even:2] @ f[0:even:2]
+        f = paired if even == f.shape[0] else np.concatenate([paired, f[even:]])
+    return f[0]
+
+
+def _hermite_weights(s: float) -> np.ndarray:
+    """Cubic Hermite basis (y1, h f1, y2, h f2) at fraction s of a step."""
+    return np.array([2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s,
+                     -2 * s**3 + 3 * s**2, s**3 - s**2])
+
+
+# Hermite weights at the Gauss nodes, combined into the two CF4 exponents
+# (first-applied factor, then second) of one step
+_CF4_WEIGHTS = np.stack([
+    _CF4_B * _hermite_weights(_GAUSS_LO) + _CF4_A * _hermite_weights(_GAUSS_HI),
+    _CF4_A * _hermite_weights(_GAUSS_LO) + _CF4_B * _hermite_weights(_GAUSS_HI),
+])
+
+# steps exponentiated and folded per batch in _shoot_batch; bounds the
+# (2 * chunk, m, d, d) stack of factors held at once
+_SHOOT_CHUNK = 16
 
 
 def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
@@ -384,64 +431,53 @@ def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
                  want_path: bool = False):
     """Integrate the geodesic flow from initial velocities v (m, n).
 
-    The control curve follows a classical RK4 step; the unitary is carried by
-    a 4th-order commutator-free two-exponential propagator, which keeps it
-    exactly unitary.  Returns endpoints (m, d, d), final velocities, and the
-    per-step control samples when requested.
+    The velocity equation does not involve the unitary, so the control curve
+    is integrated first with a classical RK4 step.  The unitary is then
+    carried by a 4th-order commutator-free two-exponential propagator, which
+    keeps it exactly unitary: per chunk of steps, the controls at the Gauss
+    nodes (cubic Hermite interpolation) give all exponents at once, they are
+    exponentiated in one batched call (su(2) closed form at d = 2, eigh
+    otherwise) and their ordered product is folded into the running unitary.
+    Returns endpoints (m, d, d), final velocities, and the per-step control
+    samples (n_steps + 1, m, n) when requested.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     m, n = v.shape
     d = mats.shape[1]
     h = 1.0 / n_steps
-    y = v.copy()
-    u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
-    samples = np.empty((n_steps + 1, m, n)) if want_path else None
-    if want_path:
-        samples[0] = y
+    k = _flow_tensor(g, w)
+    ys = np.empty((n_steps + 1, m, n))
+    ys[0] = v
+    for i in range(n_steps):
+        y = ys[i]
+        k1 = _geodesic_rhs(y, k)
+        k2 = _geodesic_rhs(y + 0.5 * h * k1, k)
+        k3 = _geodesic_rhs(y + 0.5 * h * k2, k)
+        k4 = _geodesic_rhs(y + h * k3, k)
+        ys[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def propagate(y1, y2):
-        # control values at the Gauss nodes by cubic Hermite interpolation
-        f1 = _geodesic_rhs(y1, g, w)
-        f2 = _geodesic_rhs(y2, g, w)
-
-        def herm(s):
-            h00 = 2 * s**3 - 3 * s**2 + 1
-            h10 = s**3 - 2 * s**2 + s
-            h01 = -2 * s**3 + 3 * s**2
-            h11 = s**3 - s**2
-            return h00 * y1 + h10 * h * f1 + h01 * y2 + h11 * h * f2
-
-        a1 = herm(_GAUSS_LO)
-        a2 = herm(_GAUSS_HI)
-        e1 = h * (_CF4_A * a1 + _CF4_B * a2)
-        e2 = h * (_CF4_B * a1 + _CF4_A * a2)
+    weights = _CF4_WEIGHTS * np.array([h, h * h, h, h * h])
+    u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
+    for c0 in range(0, n_steps, _SHOOT_CHUNK):
+        c1 = min(c0 + _SHOOT_CHUNK, n_steps)
+        fs = _geodesic_rhs(ys[c0:c1 + 1], k)
+        basis = np.stack([ys[c0:c1], fs[:-1], ys[c0 + 1:c1 + 1], fs[1:]])
+        # (steps, 2, m, n) -> time-ordered exponents (2 * steps, m, n)
+        exps = np.einsum("eb,bsmn->semn", weights, basis).reshape(-1, m, n)
         if su2_vec is not None:
-            return _su2_exp(e2 @ su2_vec), _su2_exp(e1 @ su2_vec)
-        lo = np.empty((m, d, d), dtype=complex)
-        hi = np.empty((m, d, d), dtype=complex)
-        for i in range(m):
-            lo[i] = expm(-1j * np.einsum("g,gab->ab", e2[i], mats))
-            hi[i] = expm(-1j * np.einsum("g,gab->ab", e1[i], mats))
-        return lo, hi
-
-    for k in range(n_steps):
-        k1 = _geodesic_rhs(y, g, w)
-        k2 = _geodesic_rhs(y + 0.5 * h * k1, g, w)
-        k3 = _geodesic_rhs(y + 0.5 * h * k2, g, w)
-        k4 = _geodesic_rhs(y + h * k3, g, w)
-        y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        lo, hi = propagate(y, y_next)
-        u = hi @ (lo @ u)
-        y = y_next
-        if want_path:
-            samples[k + 1] = y
-    return u, y, samples
+            factors = _su2_exp(exps @ su2_vec)
+        else:
+            factors = _exp_hermitian(np.tensordot(exps, mats, axes=(2, 0)))
+        u = _ordered_product(factors) @ u
+    return u, ys[n_steps], ys if want_path else None
 
 
 def _adjoint_matrix(u: np.ndarray, mats: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
-    """Phase-free footprint of u: components of u M_a u^dag in the basis."""
-    conj = np.einsum("ij,ajk,lk->ail", u, mats, u.conj())
-    overlaps = np.einsum("dab,iab->id", mats.conj(), conj).real
+    """Phase-free footprint of u (..., d, d): components of u M_a u^dag in the basis."""
+    n, d = mats.shape[:2]
+    conj = u[..., None, :, :] @ mats @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+    overlaps = (conj.reshape(*conj.shape[:-2], d * d)
+                @ mats.conj().reshape(n, d * d).T).real
     return overlaps @ gram_inv
 
 
@@ -488,9 +524,10 @@ class _MatrixProblem:
 
     # -- residuals ----------------------------------------------------------
 
-    def residual_vector(self, u_end: np.ndarray, adj_target: np.ndarray) -> np.ndarray:
+    def residual_vectors(self, u_end: np.ndarray, adj_target: np.ndarray) -> np.ndarray:
+        """Adjoint-footprint residuals of a batch of endpoints (m, d, d)."""
         adj = _adjoint_matrix(u_end, self.mats, self.gram_inv)
-        return (adj - adj_target).ravel()
+        return (adj - adj_target).reshape(u_end.shape[0], -1)
 
     def log_components(self, u: np.ndarray) -> list[np.ndarray]:
         """Generator components of -i log(u), all phase branches that map back."""
@@ -555,7 +592,7 @@ def _refine_many(problem: _MatrixProblem, seeds: np.ndarray,
 
     def resid_batch(vs: np.ndarray) -> np.ndarray:
         u, _, _ = problem.shoot(vs)
-        return np.stack([problem.residual_vector(ui, adj_target) for ui in u])
+        return problem.residual_vectors(u, adj_target)
 
     r = resid_batch(v)
     cost = np.einsum("km,km->k", r, r)
@@ -594,14 +631,13 @@ def _refine_many(problem: _MatrixProblem, seeds: np.ndarray,
     return v
 
 
-def _candidate_result(problem: _MatrixProblem, v: np.ndarray, u_target: np.ndarray):
-    u, _, samples = problem.shoot(v[None, :], want_path=True)
-    resid = projective_distance(u_target, u[0])
-    length = problem.weighted_norm(v)
+def _candidate_results(problem: _MatrixProblem, vs: np.ndarray, u_target: np.ndarray):
+    """(length, endpoint residual, partials, control curve) of each velocity."""
+    u, _, samples = problem.shoot(vs, want_path=True)
     # trapezoid integral of the control curve = signed partials
-    traj = samples[:, 0, :]
-    partials = np.trapezoid(traj, dx=1.0 / (traj.shape[0] - 1), axis=0)
-    return length, resid, partials, traj
+    partials = np.trapezoid(samples, dx=1.0 / (samples.shape[0] - 1), axis=0)
+    return [(problem.weighted_norm(v), projective_distance(u_target, u[i]),
+             partials[i], samples[:, i, :]) for i, v in enumerate(vs)]
 
 
 def _downsample(traj: np.ndarray, n_intervals: int) -> np.ndarray:
@@ -634,12 +670,11 @@ def _solve_shooting(problem: _MatrixProblem, u_target: np.ndarray,
             # converged candidate below 0.45 * pi * sqrt(w_min) is already
             # the global minimum and the multi-start sweep is skipped
             w_min = math.sqrt(problem.w.min())
-            for v in refined:
-                u_end, _, _ = problem.shoot(v[None, :])
-                if (projective_distance(u_target, u_end[0]) <= cfg.tol_endpoint
-                        and problem.weighted_norm(v) <= 0.45 * math.pi * w_min):
-                    multistart = False
-                    break
+            u_end, _, _ = problem.shoot(refined)
+            if any(projective_distance(u_target, u) <= cfg.tol_endpoint
+                   and problem.weighted_norm(v) <= 0.45 * math.pi * w_min
+                   for u, v in zip(u_end, refined)):
+                multistart = False
     if multistart:
         scan = problem.scan_starts(rng)
         u_scan, _, _ = problem.shoot(scan, n_steps=max(48, cfg.ode_steps // 4))
@@ -657,11 +692,9 @@ def _solve_shooting(problem: _MatrixProblem, u_target: np.ndarray,
 
     if not refined_sets:
         return None
-    candidates = []
-    for v in np.concatenate(refined_sets, axis=0):
-        length, resid, partials, traj = _candidate_result(problem, v, u_target)
-        if resid <= cfg.tol_endpoint:
-            candidates.append((length, resid, partials, traj))
+    candidates = [c for c in _candidate_results(
+        problem, np.concatenate(refined_sets, axis=0), u_target)
+        if c[1] <= cfg.tol_endpoint]
     if not candidates:
         return None
     lengths = np.array([c[0] for c in candidates])
@@ -768,6 +801,27 @@ def _su2_exp_and_grad(y: np.ndarray, ds: float):
     return a, da
 
 
+def _eigh_exp_and_grad(h: np.ndarray, mats: np.ndarray, ds: float):
+    """exp(-i ds h) for Hermitian h (k, d, d) and its derivatives along mats.
+
+    With h = V diag(lam) V^dag, the Daleckii-Krein formula gives the
+    derivative along M as V (Gamma o V^dag (-i ds M) V) V^dag, where Gamma
+    holds the divided differences of exp(-i ds x) at the eigenvalue pairs:
+    Gamma_ab = exp(-i ds (lam_a + lam_b) / 2) sinc(ds (lam_a - lam_b) / 2).
+    The sinc form has no 0/0 on degenerate spectra.  Returns a (k, d, d)
+    and da (k, n_mats, d, d).
+    """
+    lam, v = np.linalg.eigh(h)
+    vh = v.conj().swapaxes(-1, -2)
+    a = (v * np.exp(-1j * ds * lam)[:, None, :]) @ vh
+    half_gap = 0.5 * ds * (lam[:, :, None] - lam[:, None, :])
+    gamma = (np.exp(-0.5j * ds * (lam[:, :, None] + lam[:, None, :]))
+             * np.sinc(half_gap / math.pi))
+    rotated = vh[:, None] @ (-1j * ds * mats) @ v[:, None]
+    da = v[:, None] @ (gamma[:, None] * rotated) @ vh[:, None]
+    return a, da
+
+
 def _direct_objective(x, problem: _MatrixProblem, u_target, n_int, mu):
     """Penalised path energy and gradient for the direct optimiser.
 
@@ -784,14 +838,8 @@ def _direct_objective(x, problem: _MatrixProblem, u_target, n_int, mu):
         # chain rule back to generator coordinates
         da = np.einsum("gj,kjab->kgab", problem.su2_vec, da_cart)
     else:
-        a = np.empty((n_int, d, d), dtype=complex)
-        da = np.empty((n_int, n_gen, d, d), dtype=complex)
-        for k in range(n_int):
-            h = np.einsum("g,gab->ab", y[k], problem.mats)
-            for j in range(n_gen):
-                e, fr = expm_frechet(-1j * ds * h, -1j * ds * problem.mats[j])
-                da[k, j] = fr
-            a[k] = e
+        a, da = _eigh_exp_and_grad(np.tensordot(y, problem.mats, axes=(1, 0)),
+                                   problem.mats, ds)
     prefix = np.empty((n_int, d, d), dtype=complex)
     acc = np.eye(d, dtype=complex)
     for k in range(n_int):
@@ -900,7 +948,8 @@ def state_complexity(psi_ref: np.ndarray, psi_target: np.ndarray,
     circle is scanned with warm-started shooting solves and the best point
     polished by a bounded scalar minimisation.  For a single qubit this
     family is the full stabilizer quotient; for larger dimensions it covers
-    the relative-phase subgroup only.
+    the relative-phase subgroup only, so the length is an upper bound on
+    the state complexity and ``method`` carries the suffix "+upper_bound".
     """
     psi_ref = _normalized(psi_ref)
     psi_target = _normalized(psi_target)
@@ -946,7 +995,7 @@ def state_complexity(psi_ref: np.ndarray, psi_target: np.ndarray,
             scan.append((float(chi), res))
             warm = (res.path.values[0],)
     if not scan:
-        return _solve_unitary(problem, target_for(0.0))
+        return _bound_flag(_solve_unitary(problem, target_for(0.0)), d)
     chi_best, best_scan = min(scan, key=lambda t: t[1].length)
     seed = (best_scan.path.values[0],)
 
@@ -968,7 +1017,14 @@ def state_complexity(psi_ref: np.ndarray, psi_target: np.ndarray,
             result = retry
         elif not result.converged:
             result = best_scan
-    return result
+    return _bound_flag(result, d)
+
+
+def _bound_flag(result: GeodesicResult, dim: int) -> GeodesicResult:
+    """Mark a converged d > 2 state solve: the relative-phase scan gives an upper bound."""
+    if dim == 2 or not result.converged:
+        return result
+    return replace(result, method=f"{result.method}+upper_bound")
 
 
 def _normalized(psi) -> np.ndarray:

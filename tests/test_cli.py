@@ -107,7 +107,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", [
     "window", "sweep_values", "missing_config", "malformed_config",
-    "fractional_grid_count", "text_grid_start"])
+    "fractional_grid_count", "text_grid_start", "parameters_not_object"])
 def test_cli_parse_errors_exit_2(tmp_path, case):
     out = str(tmp_path / "out")
     bad_grid = tmp_path / "grid.json"
@@ -116,6 +116,9 @@ def test_cli_parse_errors_exit_2(tmp_path, case):
     text_grid = tmp_path / "text_grid.json"
     text_grid.write_text(json.dumps({"experiment": "iho-response",
                                      "time_grid": ["a", 3, 5], "output": out}))
+    bad_params = tmp_path / "params.json"
+    bad_params.write_text(json.dumps({"experiment": "lyapunov",
+                                      "parameters": [1.0], "output": out}))
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{experiment: ")
     argv = {
@@ -126,8 +129,26 @@ def test_cli_parse_errors_exit_2(tmp_path, case):
         "malformed_config": ["--config", str(malformed)],
         "fractional_grid_count": ["--config", str(bad_grid)],
         "text_grid_start": ["--config", str(text_grid)],
+        "parameters_not_object": ["--config", str(bad_params)],
     }[case]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("lyapunov", "system", "quartic"),
+    ("lyapunov", "system", "nope"),
+    ("state-response", "system", "quartic"),
+    ("state-response", "system", "nope"),
+    ("otoc-check", "systems", ["iho", "quartic"]),
+    ("otoc-check", "systems", 5),
+])
+def test_cli_config_system_must_be_quadratic(tmp_path, capsys, experiment, key, value):
+    cfg_file = tmp_path / "exp.json"
+    cfg_file.write_text(json.dumps({"experiment": experiment,
+                                    "parameters": {key: value},
+                                    "output": str(tmp_path / "out")}))
+    assert main(["--config", str(cfg_file)]) == 2
+    assert "system" in capsys.readouterr().err
 
 
 def test_cli_pipeline_failure_exit_code(tmp_path):

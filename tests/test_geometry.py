@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, expm_frechet
 
-from geochaos.generators import DisplacementVector, heisenberg_generators, pauli_generators
+from geochaos import geometry
+from geochaos.generators import (
+    DisplacementVector,
+    Generator,
+    GeneratorSet,
+    heisenberg_generators,
+    pauli_generators,
+)
 from geochaos.geometry import (
     CostWeights,
     GeodesicResult,
@@ -29,6 +37,23 @@ SX, SY, SZ = (g.matrix for g in PAULIS)
 # a light but multistarted profile to keep the suite quick
 LIGHT = SolverConfig(n_starts=60, n_refine=4, ode_steps=160,
                      n_restarts_direct=4, seed=1)
+
+
+def local_paulis(n_qubits):
+    """x/y/z Pauli on each qubit of an n-qubit register, labelled x1, y1, ..."""
+    gens = []
+    for q in range(n_qubits):
+        for name, p in zip("xyz", (SX, SY, SZ)):
+            m = np.ones((1, 1))
+            for r in range(n_qubits):
+                m = np.kron(m, p if r == q else np.eye(2))
+            gens.append(Generator.from_matrix(f"{name}{q + 1}", m))
+    return GeneratorSet(tuple(gens))
+
+
+def random_hermitian(rng, shape, d):
+    z = rng.normal(size=(*shape, d, d)) + 1j * rng.normal(size=(*shape, d, d))
+    return 0.5 * (z + z.conj().swapaxes(-1, -2))
 
 
 def rotation(theta, axis):
@@ -314,23 +339,21 @@ def test_open_generator_set_rejected():
                            CostWeights({"sigma_x": 1.0, "sigma_y": 1.0}), LIGHT)
 
 
+# light profiles for d = 4 and d = 8 local-Pauli targets
+MULTI_QUBIT_SHOOT = SolverConfig(n_starts=20, n_refine=3, ode_steps=120, seed=0,
+                                 direct_fallback="never", max_iters=40)
+MULTI_QUBIT_DIRECT = SolverConfig(n_intervals=8, n_restarts_direct=1,
+                                  direct_max_iters=100, seed=0)
+
+
 def test_two_qubit_product_target():
     # exercises the general-dimension propagator and residual machinery
-    from scipy.linalg import expm
-
-    from geochaos.generators import Generator, GeneratorSet
-
     i2 = np.eye(2)
-    pairs = {"x1": (SX, i2), "y1": (SY, i2), "z1": (SZ, i2),
-             "x2": (i2, SX), "y2": (i2, SY), "z2": (i2, SZ)}
-    gens = GeneratorSet(tuple(Generator.from_matrix(l, np.kron(a, b))
-                              for l, (a, b) in pairs.items()))
+    gens = local_paulis(2)
     w = CostWeights({l: 1.0 for l in gens.labels})
     a, b = 0.6, 0.9
     u = expm(-1j * a * np.kron(SX, i2)) @ expm(-1j * b * np.kron(i2, SZ))
-    cfg = SolverConfig(n_starts=20, n_refine=3, ode_steps=120, seed=0,
-                       direct_fallback="never", max_iters=40)
-    res = unitary_complexity(u, gens, w, cfg)
+    res = unitary_complexity(u, gens, w, MULTI_QUBIT_SHOOT)
     assert res.converged
     assert res.length == pytest.approx(math.hypot(a, b), abs=1e-7)
     assert res.partials["x1"] == pytest.approx(a, abs=1e-6)
@@ -417,3 +440,176 @@ def test_state_complexity_requires_normalized():
     with pytest.raises(ValueError):
         state_complexity(np.array([1.0, 1.0]), np.array([1.0, 0.0]),
                          PAULIS, ISO, LIGHT)
+
+
+@pytest.mark.parametrize("solve", ["shooting", "direct"])
+def test_three_qubit_product_target(solve):
+    # d = 8, nine local Paulis: the isotropic complexity of a product of
+    # local rotations is the root-sum-square of the per-qubit distances
+    gens = local_paulis(3)
+    w = CostWeights({l: 1.0 for l in gens.labels})
+    angles = (0.6, 0.9, 2.5)
+    u = np.kron(np.kron(expm(-1j * angles[0] * SX), expm(-1j * angles[1] * SZ)),
+                expm(-1j * angles[2] * SY))
+    if solve == "shooting":
+        cfg = MULTI_QUBIT_SHOOT
+        res = unitary_complexity(u, gens, w, cfg)
+    else:
+        cfg = MULTI_QUBIT_DIRECT
+        res = direct_path_complexity(u, gens, w, cfg)
+    expect = math.sqrt(sum(min(t, math.pi - t) ** 2 for t in angles))
+    assert res.converged
+    assert res.length == pytest.approx(expect, abs=1e-6)
+    assert res.endpoint_residual <= cfg.tol_endpoint
+    assert projective_distance(path_endpoint(res.path, gens), u) <= cfg.tol_endpoint
+
+
+# ---------------------------------------------------------------------------
+# the batched propagation engine
+
+
+@pytest.mark.parametrize("n_factors", [1, 2, 5, 8, 13])
+def test_ordered_product_is_sequential_left_composition(n_factors):
+    rng = np.random.default_rng(n_factors)
+    factors = geometry._exp_hermitian(random_hermitian(rng, (n_factors, 3), 4))
+    expect = np.broadcast_to(np.eye(4), (3, 4, 4))
+    for f in factors:
+        expect = f @ expect
+    got = geometry._ordered_product(factors)
+    assert np.abs(got - expect).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_eigh_exponential_matches_expm(d):
+    rng = np.random.default_rng(d)
+    h = random_hermitian(rng, (5,), d)
+    got = geometry._exp_hermitian(h)
+    for hk, gk in zip(h, got):
+        assert np.abs(gk - expm(-1j * hk)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spectrum", ["generic", "degenerate", "zero"])
+def test_daleckii_krein_matches_expm_frechet(spectrum):
+    rng = np.random.default_rng(5)
+    mats = local_paulis(2).matrices()
+    if spectrum == "generic":
+        h = random_hermitian(rng, (3,), 4)
+    elif spectrum == "degenerate":
+        # a local-Pauli sum: eigenvalues +-0.7 +- 0.7, so 0 is doubly degenerate
+        h = 0.7 * (mats[0] + mats[5])[None]
+    else:
+        h = np.zeros((1, 4, 4), dtype=complex)
+    ds = 0.3
+    a, da = geometry._eigh_exp_and_grad(h, mats, ds)
+    for k in range(h.shape[0]):
+        for j, m in enumerate(mats):
+            e, fr = expm_frechet(-1j * ds * h[k], -1j * ds * m)
+            assert np.abs(a[k] - e).max() <= 1e-12
+            assert np.abs(da[k, j] - fr).max() <= 1e-12
+
+
+def test_direct_objective_gradient_matches_central_differences():
+    gens = local_paulis(2)
+    w = CostWeights({l: 1.0 + 0.25 * i for i, l in enumerate(gens.labels)})
+    problem = geometry._MatrixProblem(gens, w, MULTI_QUBIT_DIRECT)
+    rng = np.random.default_rng(3)
+    u_target = expm(-1j * np.tensordot(rng.normal(size=6), gens.matrices(), axes=1))
+    n_int, mu = 5, 1e2
+    x = rng.normal(size=n_int * 6)
+    _, grad = geometry._direct_objective(x, problem, u_target, n_int, mu)
+    step = 1e-6
+    fd = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        hi, _ = geometry._direct_objective(x + e, problem, u_target, n_int, mu)
+        lo, _ = geometry._direct_objective(x - e, problem, u_target, n_int, mu)
+        fd[i] = (hi - lo) / (2 * step)
+    assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+
+
+def test_su2_and_eigh_shooting_endpoints_agree():
+    problem = geometry._MatrixProblem(PAULIS, WEIGHTED, LIGHT)
+    v = np.random.default_rng(4).normal(size=(6, 3)) * 2.0
+    args = (v, problem.g, problem.w, problem.mats, 120)
+    u_su2, y_su2, _ = geometry._shoot_batch(*args, problem.su2_vec)
+    u_eigh, y_eigh, _ = geometry._shoot_batch(*args, None)
+    assert np.abs(u_su2 - u_eigh).max() <= 1e-12
+    assert np.array_equal(y_su2, y_eigh)
+
+
+@pytest.mark.parametrize("n_steps", [60, 120, 17])
+def test_shooting_chunking_is_invisible(monkeypatch, n_steps):
+    # step counts that are not multiples of the chunk: every chunk size,
+    # including one step per fold, must give the same endpoint
+    gens = local_paulis(2)
+    w = CostWeights({l: 1.0 + 0.5 * (l[0] == "z") for l in gens.labels})
+    problem = geometry._MatrixProblem(gens, w, MULTI_QUBIT_SHOOT)
+    v = np.random.default_rng(6).normal(size=(3, 6))
+    ends = []
+    for chunk in (1, 7, geometry._SHOOT_CHUNK, 10_000):
+        monkeypatch.setattr(geometry, "_SHOOT_CHUNK", chunk)
+        u, y_end, path = problem.shoot(v, n_steps=n_steps, want_path=True)
+        assert path.shape == (n_steps + 1, 3, 6)
+        assert np.array_equal(path[-1], y_end)
+        ends.append(u)
+    for u in ends[1:]:
+        assert np.abs(u - ends[0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_shooting_propagator_is_fourth_order(n_qubits):
+    # halving the step cuts the endpoint error ~16x; a propagator that
+    # lost the Hermite slopes of the control curve would only reach ~4x
+    gens = local_paulis(n_qubits)
+    w = CostWeights({l: 1.0 + 0.5 * (l[0] == "z") for l in gens.labels})
+    problem = geometry._MatrixProblem(gens, w, MULTI_QUBIT_SHOOT)
+    v = 1.5 * np.random.default_rng(6).normal(size=(3, len(gens)))
+    ref, _, _ = problem.shoot(v, n_steps=1280)
+    err = [np.abs(problem.shoot(v, n_steps=n)[0] - ref).max() for n in (20, 40, 80)]
+    assert err[0] / err[1] > 12 and err[1] / err[2] > 12
+
+
+@pytest.mark.parametrize("n_steps", [60, 120, 17])
+def test_isotropic_shooting_is_one_parameter_subgroup(n_steps):
+    # bi-invariant metric: the velocity is constant and the endpoint is
+    # exp(-i v.M) exactly, so a dropped or repeated step would show
+    gens = local_paulis(2)
+    problem = geometry._MatrixProblem(gens, CostWeights.isotropic(gens),
+                                      MULTI_QUBIT_SHOOT)
+    v = np.random.default_rng(7).normal(size=(2, 6))
+    u, _, _ = problem.shoot(v, n_steps=n_steps)
+    for vk, uk in zip(v, u):
+        assert np.abs(uk - expm(-1j * np.tensordot(vk, gens.matrices(), axes=1))).max() <= 1e-12
+
+
+def gell_mann():
+    """The eight Gell-Mann matrices: an orthogonal basis of su(3)."""
+    mats = []
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for entry in (1.0, -1j):
+                m = np.zeros((3, 3), dtype=complex)
+                m[a, b], m[b, a] = entry, np.conj(entry)
+                mats.append(m)
+    mats.append(np.diag([1.0, -1.0, 0.0]).astype(complex))
+    mats.append(np.diag([1.0, 1.0, -2.0]).astype(complex) / math.sqrt(3.0))
+    return GeneratorSet(tuple(Generator.from_matrix(f"l{i + 1}", m)
+                              for i, m in enumerate(mats)))
+
+
+def test_state_complexity_above_one_qubit_is_flagged_upper_bound():
+    # qutrit |0> -> |1>: a unit-norm generator moves |0> at speed <= 1, so
+    # the state complexity is pi/2, reached by exp(-i pi/2 l1)
+    gens = gell_mann()
+    res = state_complexity(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                           gens, CostWeights.isotropic(gens),
+                           SolverConfig(n_starts=20, n_refine=3, ode_steps=120,
+                                        seed=0, direct_fallback="never",
+                                        max_iters=40, stabilizer_scan=4))
+    assert res.converged
+    assert res.method.endswith("+upper_bound")
+    assert res.length == pytest.approx(math.pi / 2, abs=1e-6)
+    qubit = state_complexity(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                             PAULIS, ISO, LIGHT)
+    assert qubit.method in ("euler_arnold", "direct")
