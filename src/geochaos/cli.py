@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import classical, geometry, otoc, response
 from .generators import heisenberg_generators, pauli_generators
@@ -279,17 +278,15 @@ def _bloch_samples(path: geometry.ProtocolPath, gens, psi0: np.ndarray,
     for g_i, col in enumerate(cols):
         if col is not None:
             fields += path.values[:, col, None, None] * mats[g_i]
-    # cumulative products up to each interval boundary
-    cum = [np.eye(gens.dim, dtype=complex)]
-    for k in range(n_int):
-        cum.append(expm(-1j * ds * fields[k]) @ cum[-1])
-    out = np.empty((n_samples, 3))
-    for row, s in enumerate(np.linspace(0.0, 1.0, n_samples)):
-        k = min(int(s / ds), n_int - 1)
-        frac = s - k * ds
-        u = expm(-1j * frac * fields[k]) @ cum[k] if frac > 1e-15 else cum[k]
-        out[row] = geometry.bloch_vector(u @ psi0)
-    return out
+    steps = geometry._exp_hermitian(ds * fields)
+    # products up to each interval boundary: cum[k] = A_{k-1} ... A_0
+    cum = np.concatenate([np.eye(gens.dim, dtype=complex)[None],
+                          geometry._ordered_prefixes(steps)])
+    s = np.linspace(0.0, 1.0, n_samples)
+    k = np.minimum((s / ds).astype(int), n_int - 1)
+    frac = s - k * ds
+    states = (geometry._exp_hermitian(frac[:, None, None] * fields[k]) @ cum[k]) @ psi0
+    return np.array([geometry.bloch_vector(psi) for psi in states])
 
 
 def _run_state_response(cfg: ExperimentConfig, out: Path) -> ExperimentReport:

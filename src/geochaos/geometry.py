@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 SOLVER_DIM_CAP = 8
+# phase-free endpoint residual below which a solve counts as converged, and
+# the length gap within which two converged solutions tie
+TOL_ENDPOINT = 1e-8
+TOL_LENGTH = 1e-8
+# the multistart scan shoots at weighted radii pi * k, k = 1..this
+MAX_RADIUS_MULTIPLE = 3
 
 _PAULI = np.stack([
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -182,7 +188,7 @@ class SolverConfig:
 
     ``n_starts`` shooting velocities are scanned (a Fibonacci sphere for
     three costed generators, seeded Gaussian directions otherwise) at
-    weighted radii pi * k, k = 1..max_radius_multiple, on top of the
+    weighted radii pi * k, k = 1..MAX_RADIUS_MULTIPLE, on top of the
     principal-log candidates.  The best scan candidates are polished by
     damped least squares on a phase-free endpoint residual.  The direct
     optimiser is the piecewise-constant fallback; ``direct_fallback`` may be
@@ -191,15 +197,12 @@ class SolverConfig:
 
     n_starts: int = 200
     n_intervals: int = 64
-    tol_endpoint: float = 1e-8
-    tol_length: float = 1e-8
     max_iters: int = 60
     seed: int = 0
     n_restarts_direct: int = 10
     direct_max_iters: int = 600
     ode_steps: int = 240
     n_refine: int = 6
-    max_radius_multiple: int = 3
     direct_fallback: str = "always"
     stabilizer_scan: int = 24
 
@@ -221,29 +224,6 @@ DEFAULT_SOLVER = SolverConfig()
 # elementary path operations
 
 
-def _su2_components(gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli decomposition of each generator: traceless part + identity part."""
-    mats = gens.matrices()
-    vec = np.einsum("kab,gba->gk", _PAULI, mats).real / 2.0
-    trace_part = np.einsum("gaa->g", mats).real / 2.0
-    return vec, trace_part
-
-
-def _su2_exp(y: np.ndarray) -> np.ndarray:
-    """exp(-i (y . sigma)) for a batch of Pauli vectors y (..., 3)."""
-    y = np.asarray(y, dtype=float)
-    theta = np.linalg.norm(y, axis=-1)
-    c = np.cos(theta)
-    # sin(theta) times the unit axis, written entrywise into the result
-    s = y * (np.sin(theta) / np.where(theta < 1e-300, 1.0, theta))[..., None]
-    out = np.empty(y.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = c - 1j * s[..., 2]
-    out[..., 0, 1] = -s[..., 1] - 1j * s[..., 0]
-    out[..., 1, 0] = s[..., 1] - 1j * s[..., 0]
-    out[..., 1, 1] = c + 1j * s[..., 2]
-    return out
-
-
 def path_endpoint(path: ProtocolPath, gens: GeneratorSet) -> np.ndarray:
     """Endpoint unitary of a piecewise-constant protocol.
 
@@ -254,22 +234,24 @@ def path_endpoint(path: ProtocolPath, gens: GeneratorSet) -> np.ndarray:
         raise ValueError("path_endpoint needs matrix generators; "
                          "use the displacement pipeline for phase-space sets")
     cols = [path.control(g.label) for g in gens]
-    controls = np.stack(cols, axis=1)  # (n, n_gens)
-    ds = 1.0 / path.n_intervals
-    if gens.dim == 2:
-        vec, tr = _su2_components(gens)
-        phases = np.exp(-1j * ds * controls @ tr)
-        steps = _su2_exp(controls @ vec * ds) * phases[:, None, None]
-    else:
-        steps = _exp_hermitian(ds * np.tensordot(controls, gens.matrices(), axes=(1, 0)))
-    return _ordered_product(steps)
+    return _endpoint(np.stack(cols, axis=1), gens.matrices())
+
+
+def _endpoint(controls: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Ordered product of exp(-i ds y_k . M) over the rows y_k of controls (n, n_gens)."""
+    ds = 1.0 / controls.shape[0]
+    return _ordered_product(_exp_hermitian(ds * np.tensordot(controls, mats, axes=(1, 0))))
 
 
 def path_cost(path: ProtocolPath, weights: CostWeights) -> float:
     """Weighted length of a piecewise-constant path (non-negative)."""
-    w = weights.vector(path.labels)
-    ds = 1.0 / path.n_intervals
-    return float(np.sum(ds * np.sqrt(np.sum(w * path.values**2, axis=1))))
+    return _length(path.values, weights.vector(path.labels))
+
+
+def _length(values: np.ndarray, w: np.ndarray) -> float:
+    """Weighted length of the controls values (n_intervals, n) under weights w."""
+    ds = 1.0 / values.shape[0]
+    return float(np.sum(ds * np.sqrt(np.sum(w * values**2, axis=1))))
 
 
 def partial_complexity(result: GeodesicResult, label: str) -> float:
@@ -386,11 +368,33 @@ def _geodesic_rhs(y: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _exp_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for a batch of Hermitian matrices (..., d, d), by eigh."""
+    """exp(-i h) for a batch of Hermitian matrices (..., d, d).
+
+    A 2x2 h = tau I + h0 (h0 traceless, r^2 = -det h0) has the closed form
+    e^{-i tau} (cos r I - i sin(r)/r h0), written entrywise; larger
+    matrices go through eigh.
+    """
+    if h.shape[-2:] != (2, 2):
+        return _eigh_exp(h)[0]
+    tau = 0.5 * (h[..., 0, 0].real + h[..., 1, 1].real)
+    z = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
+    off = h[..., 0, 1]
+    r = np.hypot(z, np.abs(off))
+    phase = np.exp(-1j * tau)
+    cos = phase * np.cos(r)
+    sinc = -1j * phase * np.sinc(r / math.pi)  # sinc(r / pi) = sin(r) / r
+    out = np.empty(h.shape, dtype=complex)
+    out[..., 0, 0] = cos + sinc * z
+    out[..., 0, 1] = sinc * off
+    out[..., 1, 0] = sinc * off.conj()
+    out[..., 1, 1] = cos - sinc * z
+    return out
+
+
+def _eigh_exp(h: np.ndarray):
+    """exp(-i h) by eigh, with the eigenvalues and eigenvectors it came from."""
     lam, v = np.linalg.eigh(h)
-    vh = v.conj().swapaxes(-1, -2)
-    v *= np.exp(-1j * lam)[..., None, :]
-    return v @ vh
+    return (v * np.exp(-1j * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2), lam, v
 
 
 def _ordered_product(factors: np.ndarray) -> np.ndarray:
@@ -405,6 +409,20 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
         paired = f[1:even:2] @ f[0:even:2]
         f = paired if even == f.shape[0] else np.concatenate([paired, f[even:]])
     return f[0]
+
+
+def _ordered_prefixes(factors: np.ndarray) -> np.ndarray:
+    """Every ordered prefix F[k] @ ... @ F[0], k = 0..N-1, of factors (N, ..., d, d).
+
+    A doubling scan: after the round with shift s, entry k holds the product
+    of the 2s factors ending at k, so log2(N) batched matmuls give all N.
+    """
+    p = factors.copy()
+    shift = 1
+    while shift < p.shape[0]:
+        p[shift:] = p[shift:] @ p[:-shift]
+        shift *= 2
+    return p
 
 
 def _hermite_weights(s: float) -> np.ndarray:
@@ -426,9 +444,7 @@ _SHOOT_CHUNK = 16
 
 
 def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
-                 mats: np.ndarray, n_steps: int,
-                 su2_vec: np.ndarray | None,
-                 want_path: bool = False):
+                 mats: np.ndarray, n_steps: int, want_path: bool = False):
     """Integrate the geodesic flow from initial velocities v (m, n).
 
     The velocity equation does not involve the unitary, so the control curve
@@ -436,8 +452,8 @@ def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
     carried by a 4th-order commutator-free two-exponential propagator, which
     keeps it exactly unitary: per chunk of steps, the controls at the Gauss
     nodes (cubic Hermite interpolation) give all exponents at once, they are
-    exponentiated in one batched call (su(2) closed form at d = 2, eigh
-    otherwise) and their ordered product is folded into the running unitary.
+    exponentiated in one batched call and their ordered product is folded
+    into the running unitary.
     Returns endpoints (m, d, d), final velocities, and the per-step control
     samples (n_steps + 1, m, n) when requested.
     """
@@ -464,10 +480,7 @@ def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
         basis = np.stack([ys[c0:c1], fs[:-1], ys[c0 + 1:c1 + 1], fs[1:]])
         # (steps, 2, m, n) -> time-ordered exponents (2 * steps, m, n)
         exps = np.einsum("eb,bsmn->semn", weights, basis).reshape(-1, m, n)
-        if su2_vec is not None:
-            factors = _su2_exp(exps @ su2_vec)
-        else:
-            factors = _exp_hermitian(np.tensordot(exps, mats, axes=(2, 0)))
+        factors = _exp_hermitian(np.tensordot(exps, mats, axes=(2, 0)))
         u = _ordered_product(factors) @ u
     return u, ys[n_steps], ys if want_path else None
 
@@ -494,7 +507,6 @@ class _MatrixProblem:
         if gens.dim > SOLVER_DIM_CAP:
             raise ValueError(f"solver supports dim <= {SOLVER_DIM_CAP}")
         weights.validate_for(gens)
-        self.gens = gens
         self.cfg = cfg
         self.idx = gens.costed_indices()
         self.labels = [gens.generators[i].label for i in self.idx]
@@ -502,22 +514,14 @@ class _MatrixProblem:
         self.w = np.array([weights.weight(l) for l in self.labels])
         self.g = _structure_constants(gens, self.idx)
         gram = np.einsum("iab,jab->ij", self.mats.conj(), self.mats).real
-        self.gram = gram
         self.gram_inv = np.linalg.inv(gram)
         self.dim = gens.dim
-        if self.dim == 2:
-            sub = GeneratorSet(tuple(gens.generators[i] for i in self.idx))
-            # trace parts only shift the global phase, which is quotiented
-            self.su2_vec, _ = _su2_components(sub)
-        else:
-            self.su2_vec = None
 
     # -- endpoint evaluation ------------------------------------------------
 
     def shoot(self, v, n_steps=None, want_path=False):
         n_steps = n_steps or self.cfg.ode_steps
-        return _shoot_batch(v, self.g, self.w, self.mats, n_steps,
-                            self.su2_vec, want_path)
+        return _shoot_batch(v, self.g, self.w, self.mats, n_steps, want_path)
 
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(np.sum(self.w * np.asarray(v) ** 2)))
@@ -555,7 +559,7 @@ class _MatrixProblem:
     def scan_starts(self, rng: np.random.Generator) -> np.ndarray:
         n = len(self.idx)
         cfg = self.cfg
-        radii = [math.pi * k for k in range(1, cfg.max_radius_multiple + 1)]
+        radii = [math.pi * k for k in range(1, MAX_RADIUS_MULTIPLE + 1)]
         per = max(1, cfg.n_starts // len(radii))
         dirs = []
         if n == 3:
@@ -671,7 +675,7 @@ def _solve_shooting(problem: _MatrixProblem, u_target: np.ndarray,
             # the global minimum and the multi-start sweep is skipped
             w_min = math.sqrt(problem.w.min())
             u_end, _, _ = problem.shoot(refined)
-            if any(projective_distance(u_target, u) <= cfg.tol_endpoint
+            if any(projective_distance(u_target, u) <= TOL_ENDPOINT
                    and problem.weighted_norm(v) <= 0.45 * math.pi * w_min
                    for u, v in zip(u_end, refined)):
                 multistart = False
@@ -694,12 +698,12 @@ def _solve_shooting(problem: _MatrixProblem, u_target: np.ndarray,
         return None
     candidates = [c for c in _candidate_results(
         problem, np.concatenate(refined_sets, axis=0), u_target)
-        if c[1] <= cfg.tol_endpoint]
+        if c[1] <= TOL_ENDPOINT]
     if not candidates:
         return None
     lengths = np.array([c[0] for c in candidates])
     lmin = lengths.min()
-    ties = [c for c in candidates if c[0] <= lmin + cfg.tol_length]
+    ties = [c for c in candidates if c[0] <= lmin + TOL_LENGTH]
     # deterministic branch: lexicographically smallest partial vector
     ties.sort(key=lambda c: tuple(np.round(c[2], 9)))
     distinct = 1
@@ -724,6 +728,15 @@ def _failed_result(labels: Sequence[str], n_intervals: int) -> GeodesicResult:
                           method="failed")
 
 
+def _trivial_result(labels: Sequence[str], n_intervals: int) -> GeodesicResult:
+    """The zero-length solution when the target is already reached."""
+    path = ProtocolPath.constant(labels, np.zeros(len(labels)), n_intervals)
+    return GeodesicResult(path=path, length=0.0,
+                          partials={l: 0.0 for l in labels},
+                          endpoint_residual=0.0, converged=True,
+                          method="trivial")
+
+
 def _solve_unitary(problem: _MatrixProblem, u_target: np.ndarray,
                    warm_starts: Sequence[np.ndarray] = (),
                    multistart: bool = True,
@@ -732,12 +745,7 @@ def _solve_unitary(problem: _MatrixProblem, u_target: np.ndarray,
     rng = np.random.default_rng(cfg.seed)
     # identity shortcut: nothing to solve this close to the identity
     if projective_distance(u_target, np.eye(problem.dim)) <= 1e-14:
-        labels = problem.labels
-        path = ProtocolPath.constant(labels, np.zeros(len(labels)), cfg.n_intervals)
-        return GeodesicResult(path=path, length=0.0,
-                              partials={l: 0.0 for l in labels},
-                              endpoint_residual=0.0, converged=True,
-                              method="trivial")
+        return _trivial_result(problem.labels, cfg.n_intervals)
     result = _solve_shooting(problem, u_target, warm_starts, rng,
                              multistart, log_starts)
     need_direct = cfg.direct_fallback == "always" or (
@@ -747,7 +755,7 @@ def _solve_unitary(problem: _MatrixProblem, u_target: np.ndarray,
         # prefer the flow solution within integration noise of a tie
         if direct is not None and (result is None
                                    or direct.length < result.length
-                                   - 10 * cfg.tol_length):
+                                   - 10 * TOL_LENGTH):
             result = direct
     if result is None:
         result = _failed_result(problem.labels, cfg.n_intervals)
@@ -779,82 +787,44 @@ def unitary_complexity(u_target: np.ndarray, gens: GeneratorSet,
 # direct path optimisation (the oracle route)
 
 
-def _su2_exp_and_grad(y: np.ndarray, ds: float):
-    """Per-interval exponentials exp(-i ds y.sigma) and their y-gradients."""
-    y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(y, axis=1)
-    theta = ds * r
-    small = r < 1e-10
-    rs = np.where(small, 1.0, r)
-    n = y / rs[:, None]
-    c, s = np.cos(theta), np.sin(theta)
-    nsig = np.einsum("kj,jab->kab", n, _PAULI)
-    a = c[:, None, None] * np.eye(2) - 1j * s[:, None, None] * nsig
-    s_over_r = np.where(small, ds, s / rs)
-    t1 = -(s * ds)[:, None, None, None] * n[:, :, None, None] * np.eye(2)
-    t2 = -1j * (c * ds)[:, None, None, None] * n[:, :, None, None] * nsig[:, None, :, :]
-    t3 = -1j * s_over_r[:, None, None, None] * (
-        _PAULI[None, :, :, :] - n[:, :, None, None] * nsig[:, None, :, :])
-    da = t1 + t2 + t3
-    if small.any():
-        da[small] = -1j * ds * _PAULI[None, :, :, :]
-    return a, da
+def _daleckii_krein(lam: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of the derivative of exp(-i h) at h = V diag(lam) V^dag.
 
-
-def _eigh_exp_and_grad(h: np.ndarray, mats: np.ndarray, ds: float):
-    """exp(-i ds h) for Hermitian h (k, d, d) and its derivatives along mats.
-
-    With h = V diag(lam) V^dag, the Daleckii-Krein formula gives the
-    derivative along M as V (Gamma o V^dag (-i ds M) V) V^dag, where Gamma
-    holds the divided differences of exp(-i ds x) at the eigenvalue pairs:
-    Gamma_ab = exp(-i ds (lam_a + lam_b) / 2) sinc(ds (lam_a - lam_b) / 2).
-    The sinc form has no 0/0 on degenerate spectra.  Returns a (k, d, d)
-    and da (k, n_mats, d, d).
+    Returns C = V (Gamma o V^dag G V) V^dag for a batch (k, d, d), so that
+    tr(G dexp) = -i tr(C E) for the derivative dexp along any direction E.
+    Gamma holds the Daleckii-Krein divided differences of exp(-i x) at the
+    eigenvalue pairs, Gamma_ab = exp(-i (lam_a + lam_b) / 2)
+    sinc((lam_a - lam_b) / 2); the sinc form has no 0/0 on degenerate spectra.
     """
-    lam, v = np.linalg.eigh(h)
     vh = v.conj().swapaxes(-1, -2)
-    a = (v * np.exp(-1j * ds * lam)[:, None, :]) @ vh
-    half_gap = 0.5 * ds * (lam[:, :, None] - lam[:, None, :])
-    gamma = (np.exp(-0.5j * ds * (lam[:, :, None] + lam[:, None, :]))
-             * np.sinc(half_gap / math.pi))
-    rotated = vh[:, None] @ (-1j * ds * mats) @ v[:, None]
-    da = v[:, None] @ (gamma[:, None] * rotated) @ vh[:, None]
-    return a, da
+    gamma = (np.exp(-0.5j * (lam[:, :, None] + lam[:, None, :]))
+             * np.sinc((lam[:, :, None] - lam[:, None, :]) / (2.0 * math.pi)))
+    return v @ (gamma * (vh @ g @ v)) @ vh
 
 
 def _direct_objective(x, problem: _MatrixProblem, u_target, n_int, mu):
     """Penalised path energy and gradient for the direct optimiser.
 
     Minimising the energy rather than the length keeps the objective smooth
-    and yields constant-speed paths, whose length equals sqrt(energy).
+    and yields constant-speed paths, whose length equals sqrt(energy).  The
+    factors A_k are unitary, so the products after interval k follow from
+    the prefixes as U (A_k ... A_0)^dag.
     """
     n_gen = len(problem.idx)
     ds = 1.0 / n_int
     y = x.reshape(n_int, n_gen)
     d = problem.dim
-    if problem.su2_vec is not None:
-        ycart = y @ problem.su2_vec
-        a, da_cart = _su2_exp_and_grad(ycart, ds)
-        # chain rule back to generator coordinates
-        da = np.einsum("gj,kjab->kgab", problem.su2_vec, da_cart)
-    else:
-        a, da = _eigh_exp_and_grad(np.tensordot(y, problem.mats, axes=(1, 0)),
-                                   problem.mats, ds)
-    prefix = np.empty((n_int, d, d), dtype=complex)
-    acc = np.eye(d, dtype=complex)
-    for k in range(n_int):
-        prefix[k] = acc
-        acc = a[k] @ acc
-    u = acc
-    suffix = np.empty((n_int, d, d), dtype=complex)
-    acc = np.eye(d, dtype=complex)
-    for k in range(n_int - 1, -1, -1):
-        suffix[k] = acc
-        acc = acc @ a[k]
-    tau = np.trace(u_target.conj().T @ u)
+    a, lam, v = _eigh_exp(ds * np.tensordot(y, problem.mats, axes=(1, 0)))
+    prefix = _ordered_prefixes(a)  # prefix[k] = A_k ... A_0
+    u = prefix[-1]
+    before = np.concatenate([np.eye(d, dtype=complex)[None], prefix[:-1]])
+    overlap = u_target.conj().T @ u
+    tau = np.trace(overlap)
     pen = 1.0 - (tau * tau.conjugate()).real / d**2
-    gmat = np.einsum("kab,bc,kcd->kad", prefix, u_target.conj().T, suffix)
-    dtau = np.einsum("kad,kjda->kj", gmat, da)
+    # d tau = tr(G_k dA_k), G_k = (A_{k-1} ... A_0) U_target^dag (A_{N-1} ... A_{k+1})
+    gmat = before @ overlap @ prefix.conj().swapaxes(-1, -2)
+    c = _daleckii_krein(lam, v, gmat)
+    dtau = -1j * ds * np.einsum("kab,jba->kj", c, problem.mats)
     dpen = -(2.0 / d**2) * (np.conj(tau) * dtau).real
     energy = ds * float(np.sum(problem.w * y * y))
     denergy = 2.0 * ds * (problem.w * y)
@@ -884,12 +854,10 @@ def _direct_optimize(problem: _MatrixProblem, u_target: np.ndarray,
                                         ftol=1e-16, gtol=1e-12))
             x = res.x
         y = x.reshape(n_int, n_gen)
-        path = ProtocolPath(tuple(problem.labels), y)
-        u = path_endpoint(path, _subset(problem.gens, problem.idx))
-        resid = projective_distance(u_target, u)
-        length = path_cost(path, CostWeights(dict(zip(problem.labels, problem.w))))
-        if resid <= max(cfg.tol_endpoint, 1e-9):
-            improved = best is None or length < best[0] - cfg.tol_length
+        resid = projective_distance(u_target, _endpoint(y, problem.mats))
+        length = _length(y, problem.w)
+        if resid <= TOL_ENDPOINT:
+            improved = best is None or length < best[0] - TOL_LENGTH
             if best is None or length < best[0]:
                 best = (length, resid, y)
             stable = 0 if improved else stable + 1
@@ -907,10 +875,6 @@ def _direct_optimize(problem: _MatrixProblem, u_target: np.ndarray,
         endpoint_residual=float(resid), converged=True, method="direct")
 
 
-def _subset(gens: GeneratorSet, indices: Sequence[int]) -> GeneratorSet:
-    return GeneratorSet(tuple(gens.generators[i] for i in indices))
-
-
 def direct_path_complexity(u_target: np.ndarray, gens: GeneratorSet,
                            weights: CostWeights,
                            cfg: SolverConfig = DEFAULT_SOLVER) -> GeodesicResult:
@@ -925,12 +889,7 @@ def direct_path_complexity(u_target: np.ndarray, gens: GeneratorSet,
     rng = np.random.default_rng(cfg.seed)
     result = _direct_optimize(problem, u_target, rng)
     if result is None:
-        labels = problem.labels
-        path = ProtocolPath.constant(labels, np.zeros(len(labels)), cfg.n_intervals)
-        return GeodesicResult(path=path, length=math.inf,
-                              partials={l: math.nan for l in labels},
-                              endpoint_residual=1.0, converged=False,
-                              method="direct")
+        return replace(_failed_result(problem.labels, cfg.n_intervals), method="direct")
     return result
 
 
@@ -962,11 +921,7 @@ def state_complexity(psi_ref: np.ndarray, psi_target: np.ndarray,
     overlap = abs(np.vdot(psi_ref, psi_target))
     if overlap >= 1.0 - 1e-14:
         labels = [gens.generators[i].label for i in gens.costed_indices()]
-        path = ProtocolPath.constant(labels, np.zeros(len(labels)), cfg.n_intervals)
-        return GeodesicResult(path=path, length=0.0,
-                              partials={l: 0.0 for l in labels},
-                              endpoint_residual=0.0, converged=True,
-                              method="trivial")
+        return _trivial_result(labels, cfg.n_intervals)
 
     u0 = _connecting_unitary(psi_ref, psi_target)
     proj = np.outer(psi_ref, psi_ref.conj())
@@ -1011,7 +966,7 @@ def state_complexity(psi_ref: np.ndarray, psi_target: np.ndarray,
                           method="bounded", options=dict(xatol=1e-6))
     chi_opt = float(opt.x) if np.isfinite(opt.fun) and opt.fun < 1e6 else chi_best
     result = _solve_unitary(problem, target_for(chi_opt), warm_starts=seed)
-    if not result.converged or best_scan.length < result.length - cfg.tol_length:
+    if not result.converged or best_scan.length < result.length - TOL_LENGTH:
         retry = _solve_unitary(problem, target_for(chi_best), warm_starts=seed)
         if retry.converged and retry.length <= result.length:
             result = retry
@@ -1044,12 +999,8 @@ def _connecting_unitary(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
     if n < 1e-15:
         return (inner / abs(inner)) * np.eye(d)
     e2 = ortho / n
-    c = inner
-    s = n
-    u = np.eye(d, dtype=complex)
-    # act as [[c, -s],[s, c*]] on span{psi_a, e2}, identity elsewhere
-    u = (np.eye(d, dtype=complex)
-         - np.outer(psi_a, psi_a.conj()) - np.outer(e2, e2.conj())
-         + c * np.outer(psi_a, psi_a.conj()) + s * np.outer(e2, psi_a.conj())
-         - np.conj(s) * np.outer(psi_a, e2.conj()) + np.conj(c) * np.outer(e2, e2.conj()))
-    return u
+    # act as [[inner, -n], [n, inner*]] on span{psi_a, e2}, identity elsewhere
+    return (np.eye(d, dtype=complex)
+            - np.outer(psi_a, psi_a.conj()) - np.outer(e2, e2.conj())
+            + inner * np.outer(psi_a, psi_a.conj()) + n * np.outer(e2, psi_a.conj())
+            - n * np.outer(psi_a, e2.conj()) + np.conj(inner) * np.outer(e2, e2.conj()))

@@ -1,15 +1,22 @@
 """Experiment runner: configs, outputs, determinism, exit codes."""
 
 import json
-import pytest
+import math
 
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from geochaos import geometry
 from geochaos.cli import (
     ConfigError,
     ExperimentConfig,
+    _bloch_samples,
     build_parser,
     main,
     run_experiment,
 )
+from geochaos.generators import pauli_generators
 
 
 def test_config_validation():
@@ -178,3 +185,25 @@ def test_parser_covers_experiments():
     args = parser.parse_args(["qubit-geodesic", "--z-weight", "2.0"])
     assert args.experiment == "qubit-geodesic"
     assert args.z_weight == 2.0
+
+
+def test_bloch_samples_match_expm_reference():
+    # the qubit-geodesic defaults: start state +x, 65 samples, a 64-interval
+    # path (here seeded controls), one expm per interval and per sample
+    gens = pauli_generators()
+    psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    n_int, n_samples = geometry.SolverConfig().n_intervals, 65
+    values = np.random.default_rng(2).normal(size=(n_int, 3)) * 2.0
+    path = geometry.ProtocolPath(tuple(gens.labels), values)
+    fields = np.tensordot(values, gens.matrices(), axes=(1, 0))
+    ds = 1.0 / n_int
+    cum = [np.eye(2, dtype=complex)]
+    for k in range(n_int):
+        cum.append(expm(-1j * ds * fields[k]) @ cum[-1])
+    expect = []
+    for s in np.linspace(0.0, 1.0, n_samples):
+        k = min(int(s / ds), n_int - 1)
+        u = expm(-1j * (s - k * ds) * fields[k]) @ cum[k]
+        expect.append(geometry.bloch_vector(u @ psi0))
+    got = _bloch_samples(path, gens, psi0, n_samples)
+    assert np.abs(got - np.array(expect)).max() <= 1e-12

@@ -381,8 +381,13 @@ def test_result_serialization():
 
 
 def test_solver_config_json_round_trip():
-    cfg = SolverConfig.from_json('{"n_starts": 10, "seed": 3, "unknown": 1}')
+    # configs saved before tol_endpoint, tol_length and max_radius_multiple
+    # became module constants still load: unknown keys are dropped
+    cfg = SolverConfig.from_json('{"n_starts": 10, "seed": 3, "unknown": 1, '
+                                 '"tol_endpoint": 1e-6, "tol_length": 1e-6, '
+                                 '"max_radius_multiple": 5}')
     assert cfg.n_starts == 10 and cfg.seed == 3
+    assert len(cfg.to_json()) == 10
     assert SolverConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -460,8 +465,8 @@ def test_three_qubit_product_target(solve):
     expect = math.sqrt(sum(min(t, math.pi - t) ** 2 for t in angles))
     assert res.converged
     assert res.length == pytest.approx(expect, abs=1e-6)
-    assert res.endpoint_residual <= cfg.tol_endpoint
-    assert projective_distance(path_endpoint(res.path, gens), u) <= cfg.tol_endpoint
+    assert res.endpoint_residual <= geometry.TOL_ENDPOINT
+    assert projective_distance(path_endpoint(res.path, gens), u) <= geometry.TOL_ENDPOINT
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +482,23 @@ def test_ordered_product_is_sequential_left_composition(n_factors):
         expect = f @ expect
     got = geometry._ordered_product(factors)
     assert np.abs(got - expect).max() <= 1e-13
+    prefixes = geometry._ordered_prefixes(factors)
+    assert prefixes.shape == factors.shape
+    expect = np.broadcast_to(np.eye(4), (3, 4, 4))
+    for f, p in zip(factors, prefixes):
+        expect = f @ expect
+        assert np.abs(p - expect).max() <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_eigh_exponential_matches_expm(d):
     rng = np.random.default_rng(d)
     h = random_hermitian(rng, (5,), d)
+    if d == 2:
+        # the closed form's edge cases: zero, a multiple of the identity,
+        # and a traceless part so small that r**2 underflows
+        tiny = 1e-170 * (SX + 2 * SZ) + 0.3 * np.eye(2)
+        h = np.concatenate([h, [np.zeros((2, 2)), 1.7 * np.eye(2), tiny]])
     got = geometry._exp_hermitian(h)
     for hk, gk in zip(h, got):
         assert np.abs(gk - expm(-1j * hk)).max() <= 1e-12
@@ -500,42 +516,37 @@ def test_daleckii_krein_matches_expm_frechet(spectrum):
     else:
         h = np.zeros((1, 4, 4), dtype=complex)
     ds = 0.3
-    a, da = geometry._eigh_exp_and_grad(h, mats, ds)
+    g = random_hermitian(rng, h.shape[:1], 4) + 1j * random_hermitian(rng, h.shape[:1], 4)
+    a, lam, v = geometry._eigh_exp(ds * h)
+    c = geometry._daleckii_krein(lam, v, g)
     for k in range(h.shape[0]):
-        for j, m in enumerate(mats):
+        for m in mats:
             e, fr = expm_frechet(-1j * ds * h[k], -1j * ds * m)
             assert np.abs(a[k] - e).max() <= 1e-12
-            assert np.abs(da[k, j] - fr).max() <= 1e-12
+            assert abs(np.trace(g[k] @ fr) - (-1j * ds) * np.trace(c[k] @ m)) <= 1e-12
 
 
 def test_direct_objective_gradient_matches_central_differences():
-    gens = local_paulis(2)
-    w = CostWeights({l: 1.0 + 0.25 * i for i, l in enumerate(gens.labels)})
-    problem = geometry._MatrixProblem(gens, w, MULTI_QUBIT_DIRECT)
-    rng = np.random.default_rng(3)
-    u_target = expm(-1j * np.tensordot(rng.normal(size=6), gens.matrices(), axes=1))
-    n_int, mu = 5, 1e2
-    x = rng.normal(size=n_int * 6)
-    _, grad = geometry._direct_objective(x, problem, u_target, n_int, mu)
-    step = 1e-6
-    fd = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        hi, _ = geometry._direct_objective(x + e, problem, u_target, n_int, mu)
-        lo, _ = geometry._direct_objective(x - e, problem, u_target, n_int, mu)
-        fd[i] = (hi - lo) / (2 * step)
-    assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(grad).max())
-
-
-def test_su2_and_eigh_shooting_endpoints_agree():
-    problem = geometry._MatrixProblem(PAULIS, WEIGHTED, LIGHT)
-    v = np.random.default_rng(4).normal(size=(6, 3)) * 2.0
-    args = (v, problem.g, problem.w, problem.mats, 120)
-    u_su2, y_su2, _ = geometry._shoot_batch(*args, problem.su2_vec)
-    u_eigh, y_eigh, _ = geometry._shoot_batch(*args, None)
-    assert np.abs(u_su2 - u_eigh).max() <= 1e-12
-    assert np.array_equal(y_su2, y_eigh)
+    # one and two qubits: the same eigh route and adjoint contraction at d = 2, 4
+    for n_qubits in (1, 2):
+        gens = local_paulis(n_qubits)
+        n_gen = len(gens)
+        w = CostWeights({l: 1.0 + 0.25 * i for i, l in enumerate(gens.labels)})
+        problem = geometry._MatrixProblem(gens, w, MULTI_QUBIT_DIRECT)
+        rng = np.random.default_rng(3)
+        u_target = expm(-1j * np.tensordot(rng.normal(size=n_gen), gens.matrices(), axes=1))
+        n_int, mu = 5, 1e2
+        x = rng.normal(size=n_int * n_gen)
+        _, grad = geometry._direct_objective(x, problem, u_target, n_int, mu)
+        step = 1e-6
+        fd = np.empty_like(x)
+        for i in range(x.size):
+            e = np.zeros_like(x)
+            e[i] = step
+            hi, _ = geometry._direct_objective(x + e, problem, u_target, n_int, mu)
+            lo, _ = geometry._direct_objective(x - e, problem, u_target, n_int, mu)
+            fd[i] = (hi - lo) / (2 * step)
+        assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(grad).max()), n_qubits
 
 
 @pytest.mark.parametrize("n_steps", [60, 120, 17])
@@ -573,14 +584,17 @@ def test_shooting_propagator_is_fourth_order(n_qubits):
 @pytest.mark.parametrize("n_steps", [60, 120, 17])
 def test_isotropic_shooting_is_one_parameter_subgroup(n_steps):
     # bi-invariant metric: the velocity is constant and the endpoint is
-    # exp(-i v.M) exactly, so a dropped or repeated step would show
-    gens = local_paulis(2)
-    problem = geometry._MatrixProblem(gens, CostWeights.isotropic(gens),
-                                      MULTI_QUBIT_SHOOT)
-    v = np.random.default_rng(7).normal(size=(2, 6))
-    u, _, _ = problem.shoot(v, n_steps=n_steps)
-    for vk, uk in zip(v, u):
-        assert np.abs(uk - expm(-1j * np.tensordot(vk, gens.matrices(), axes=1))).max() <= 1e-12
+    # exp(-i v.M) exactly, so a dropped or repeated step would show; one
+    # qubit checks the 2x2 closed form, two qubits the eigh route
+    for n_qubits in (1, 2):
+        gens = local_paulis(n_qubits)
+        problem = geometry._MatrixProblem(gens, CostWeights.isotropic(gens),
+                                          MULTI_QUBIT_SHOOT)
+        v = np.random.default_rng(7).normal(size=(2, len(gens)))
+        u, _, _ = problem.shoot(v, n_steps=n_steps)
+        for vk, uk in zip(v, u):
+            expect = expm(-1j * np.tensordot(vk, gens.matrices(), axes=1))
+            assert np.abs(uk - expect).max() <= 1e-12, n_qubits
 
 
 def gell_mann():
