@@ -229,14 +229,22 @@ def _run_qubit_geodesic(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     angle = float(cfg.parameters.get("separation", 2.6))
     penalty = float(cfg.parameters.get("z_weight", 1.5))
     n_samples = int(cfg.parameters.get("n_samples", 65))
+    # at 0 and pi the great circle through the two states is not unique
+    if not 0.0 < angle < math.pi:
+        raise ConfigError("separation must lie in (0, pi)")
+    if not 0.0 < penalty < math.inf:
+        raise ConfigError("z_weight must be finite and > 0")
+    if n_samples < 2:
+        raise ConfigError("n_samples must be >= 2")
     # two equatorial Bloch vectors an `angle` apart: the direct rotation
     # between them is z-generated, which the weighted metric penalises
     psi_a = np.array([1.0, 1.0]) / math.sqrt(2.0)  # +x axis
     psi_b = np.array([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)]) / math.sqrt(2.0)
+    normal = np.cross(geometry.bloch_vector(psi_a), geometry.bloch_vector(psi_b))
+    normal /= np.linalg.norm(normal)
     solver = geometry.SolverConfig(seed=cfg.seed)
     outputs = []
     margins = {}
-    normal = None
     for tag, weights in (
         ("isotropic", geometry.CostWeights({"sigma_x": 1.0, "sigma_y": 1.0,
                                             "sigma_z": 1.0})),
@@ -245,11 +253,6 @@ def _run_qubit_geodesic(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     ):
         geo = geometry.state_complexity(psi_a, psi_b, gens, weights, solver)
         samples = _bloch_samples(geo.path, gens, psi_a, n_samples)
-        if normal is None:
-            b_a = geometry.bloch_vector(psi_a)
-            b_b = geometry.bloch_vector(psi_b)
-            normal = np.cross(b_a, b_b)
-            normal /= np.linalg.norm(normal)
         margins[tag] = float(np.abs(samples @ normal).max())
         csv = out / f"geodesic_{tag}.csv"
         _write_csv(csv, ["sigma", "bloch_x", "bloch_y", "bloch_z"],

@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import logm
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .generators import (
     MATRIX,
@@ -52,8 +52,11 @@ SOLVER_DIM_CAP = 8
 # the length gap within which two converged solutions tie
 TOL_ENDPOINT = 1e-8
 TOL_LENGTH = 1e-8
-# the multistart scan shoots at weighted radii pi * k, k = 1..this
+# the multistart scan shoots at weighted radii r * k, k = 1..this, with r = pi
+# for a unitary target and pi / 4 for a state
 MAX_RADIUS_MULTIPLE = 3
+# relative singular value below which a costed direction only rephases a state
+RANK_TOL = 1e-10
 
 _PAULI = np.stack([
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -188,11 +191,12 @@ class SolverConfig:
 
     ``n_starts`` shooting velocities are scanned (a Fibonacci sphere for
     three costed generators, seeded Gaussian directions otherwise) at
-    weighted radii pi * k, k = 1..MAX_RADIUS_MULTIPLE, on top of the
-    principal-log candidates.  The best scan candidates are polished by
-    damped least squares on a phase-free endpoint residual.  The direct
-    optimiser is the piecewise-constant fallback; ``direct_fallback`` may be
-    "always", "auto" (only when shooting fails) or "never".
+    weighted radii r * k, k = 1..MAX_RADIUS_MULTIPLE (r = pi for a unitary
+    target, pi / 4 for a state), on top of the principal-log candidates.
+    The best scan candidates are polished by damped least squares on a
+    phase-free endpoint residual.  The direct optimiser is the
+    piecewise-constant fallback; ``direct_fallback`` may be "always",
+    "auto" (only when shooting fails) or "never".
     """
 
     n_starts: int = 200
@@ -204,7 +208,10 @@ class SolverConfig:
     ode_steps: int = 240
     n_refine: int = 6
     direct_fallback: str = "always"
-    stabilizer_scan: int = 24
+
+    def __post_init__(self):
+        if self.direct_fallback not in ("always", "auto", "never"):
+            raise ValueError(f"unknown direct_fallback {self.direct_fallback!r}")
 
     @classmethod
     def from_json(cls, doc: dict | str) -> "SolverConfig":
@@ -526,13 +533,6 @@ class _MatrixProblem:
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(np.sum(self.w * np.asarray(v) ** 2)))
 
-    # -- residuals ----------------------------------------------------------
-
-    def residual_vectors(self, u_end: np.ndarray, adj_target: np.ndarray) -> np.ndarray:
-        """Adjoint-footprint residuals of a batch of endpoints (m, d, d)."""
-        adj = _adjoint_matrix(u_end, self.mats, self.gram_inv)
-        return (adj - adj_target).reshape(u_end.shape[0], -1)
-
     def log_components(self, u: np.ndarray) -> list[np.ndarray]:
         """Generator components of -i log(u), all phase branches that map back."""
         d = self.dim
@@ -556,10 +556,10 @@ class _MatrixProblem:
 
     # -- start generation ---------------------------------------------------
 
-    def scan_starts(self, rng: np.random.Generator) -> np.ndarray:
+    def scan_starts(self, rng: np.random.Generator, radius: float) -> np.ndarray:
         n = len(self.idx)
         cfg = self.cfg
-        radii = [math.pi * k for k in range(1, MAX_RADIUS_MULTIPLE + 1)]
+        radii = [radius * k for k in range(1, MAX_RADIUS_MULTIPLE + 1)]
         per = max(1, cfg.n_starts // len(radii))
         dirs = []
         if n == 3:
@@ -578,8 +578,100 @@ class _MatrixProblem:
         return np.concatenate(dirs, axis=0)
 
 
+@dataclass(frozen=True, eq=False)
+class _Target:
+    """What a solve must reach: a unitary modulo phase, or a state's ray.
+
+    The endpoint U is on target when the gap 1 - |tr(q U)| / sqrt(norm)
+    vanishes.  ``residual(u, v)`` gives the shooting residual rows of
+    endpoints u (m, d, d) shot from velocities v (m, n), and the refine
+    stops once its squared norm is below ``cost_tol``.  ``starts`` are the
+    informed initial velocities, ``radius`` the unit of the scan radii, and
+    ``short_skip`` whether the d = 2 short-geodesic bound may end the scan.
+    """
+
+    q: np.ndarray
+    norm: float
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    cost_tol: float
+    starts: list[np.ndarray]
+    radius: float
+    short_skip: bool
+
+    def gap(self, u: np.ndarray) -> float:
+        return max(0.0, 1.0 - abs(np.trace(self.q @ u)) / math.sqrt(self.norm))
+
+
+def _unitary_target(problem: _MatrixProblem, u_target) -> _Target:
+    """Reach u_target modulo phase; residual = its adjoint footprint."""
+    u_target = np.asarray(u_target, dtype=complex)
+    if u_target.shape != (problem.dim, problem.dim):
+        raise ValueError("target dimension does not match the generator set")
+    if np.abs(u_target @ u_target.conj().T - np.eye(problem.dim)).max() > 1e-10:
+        raise ValueError("target is not unitary")
+    adj_target = _adjoint_matrix(u_target, problem.mats, problem.gram_inv)
+
+    def residual(u_end, v):
+        adj = _adjoint_matrix(u_end, problem.mats, problem.gram_inv)
+        return (adj - adj_target).reshape(u_end.shape[0], -1)
+
+    # endpoint angles ~3e-7, i.e. endpoint infidelities ~1e-13, comfortably
+    # below the convergence gate and above the integration noise floor
+    return _Target(q=u_target.conj().T, norm=problem.dim**2, residual=residual,
+                   cost_tol=1e-13, starts=problem.log_components(u_target),
+                   radius=math.pi, short_skip=True)
+
+
+def _state_target(problem: _MatrixProblem, gens: GeneratorSet,
+                  psi_ref: np.ndarray, psi_target: np.ndarray) -> _Target:
+    """Reach the coset {U : U psi_ref ~ psi_target} by a minimal geodesic.
+
+    At a minimiser the final momentum W y(1) annihilates the costed
+    stabilizer algebra of psi_target (transversality); the conserved
+    momentum carries this back to W v annihilating that of psi_ref, a
+    linear condition on the initial velocity v.  The residual stacks the
+    state mismatch (I - |psi_target><psi_target|) U psi_ref, real and
+    imaginary parts, over the rows (I - P_T)(w o v).  The starts are the
+    principal logs of the coset points U0 (e^{i chi} P_ref + Q_ref) at four
+    chi, projected onto that condition.  A state is at most a Fubini-Study
+    angle pi / 2 away, so the scan radii are multiples of pi / 4.  Near that
+    angle the end state barely moves with v, so a residual of 3e-7 can leave
+    v ~1e-6 off; the refine therefore runs to a squared residual of 1e-21.
+    """
+    d = problem.dim
+    w = problem.w
+    transverse = _transverse_projector(psi_ref, gens)
+    along = np.eye(len(w)) - transverse
+    miss = np.eye(d) - np.outer(psi_target, psi_target.conj())
+
+    def residual(u_end, v):
+        off = (u_end @ psi_ref) @ miss.T
+        return np.concatenate([off.real, off.imag, (w * v) @ along], axis=1)
+
+    u0 = _connecting_unitary(psi_ref, psi_target)
+    proj = np.outer(psi_ref, psi_ref.conj())
+    starts = [transverse @ (w * c) / w
+              for chi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+              for c in problem.log_components(u0 @ (np.exp(1j * chi) * proj
+                                                    + np.eye(d) - proj))[:1]]
+    return _Target(q=np.outer(psi_ref, psi_target.conj()), norm=1.0,
+                   residual=residual, cost_tol=1e-21, starts=starts,
+                   radius=0.25 * math.pi, short_skip=False)
+
+
+def _transverse_projector(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    """Orthogonal projector off the costed directions that only rephase psi."""
+    mats = np.stack([gens.generators[i].matrix for i in gens.costed_indices()])
+    moved = mats @ psi
+    moved -= np.outer(moved @ psi.conj(), psi)
+    tangent = np.concatenate([moved.real, moved.imag], axis=1)  # (m, 2d)
+    _, sv, vt = np.linalg.svd(tangent.T)
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
+    return vt[:rank].T @ vt[:rank]
+
+
 def _refine_many(problem: _MatrixProblem, seeds: np.ndarray,
-                 adj_target: np.ndarray) -> np.ndarray:
+                 target: _Target) -> np.ndarray:
     """Damped Gauss-Newton on the shooting residual, all seeds at once.
 
     Every iteration folds the finite-difference Jacobian stencils of all
@@ -596,16 +688,12 @@ def _refine_many(problem: _MatrixProblem, seeds: np.ndarray,
 
     def resid_batch(vs: np.ndarray) -> np.ndarray:
         u, _, _ = problem.shoot(vs)
-        return problem.residual_vectors(u, adj_target)
+        return target.residual(u, vs)
 
     r = resid_batch(v)
     cost = np.einsum("km,km->k", r, r)
-    # adjoint-residual target: endpoint angles ~3e-7, i.e. endpoint
-    # infidelities ~1e-13, comfortably below the convergence gate and
-    # above the integration noise floor
-    target_cost = 1e-13
     for _ in range(cfg.max_iters):
-        act = np.flatnonzero(active & (cost > target_cost))
+        act = np.flatnonzero(active & (cost > target.cost_tol))
         if act.size == 0:
             break
         probes = np.concatenate([v[act, None, :] + fd * eye[None, :, :],
@@ -635,12 +723,12 @@ def _refine_many(problem: _MatrixProblem, seeds: np.ndarray,
     return v
 
 
-def _candidate_results(problem: _MatrixProblem, vs: np.ndarray, u_target: np.ndarray):
+def _candidate_results(problem: _MatrixProblem, vs: np.ndarray, target: _Target):
     """(length, endpoint residual, partials, control curve) of each velocity."""
     u, _, samples = problem.shoot(vs, want_path=True)
     # trapezoid integral of the control curve = signed partials
     partials = np.trapezoid(samples, dx=1.0 / (samples.shape[0] - 1), axis=0)
-    return [(problem.weighted_norm(v), projective_distance(u_target, u[i]),
+    return [(problem.weighted_norm(v), target.gap(u[i]),
              partials[i], samples[:, i, :]) for i, v in enumerate(vs)]
 
 
@@ -653,36 +741,31 @@ def _downsample(traj: np.ndarray, n_intervals: int) -> np.ndarray:
     return np.stack([mids[a:b].mean(axis=0) for a, b in zip(edges[:-1], edges[1:])])
 
 
-def _solve_shooting(problem: _MatrixProblem, u_target: np.ndarray,
-                    starts: Sequence[np.ndarray], rng: np.random.Generator,
-                    multistart: bool = True,
-                    log_starts: bool = True) -> GeodesicResult | None:
+def _solve_shooting(problem: _MatrixProblem, target: _Target,
+                    rng: np.random.Generator) -> GeodesicResult | None:
     """Refine shooting candidates and fold them into the best geodesic."""
     cfg = problem.cfg
-    adj_target = _adjoint_matrix(u_target, problem.mats, problem.gram_inv)
-    seeds: list[np.ndarray] = list(starts)
-    if log_starts or not seeds:
-        seeds.extend(problem.log_components(u_target))
-
+    multistart = True
     refined_sets: list[np.ndarray] = []
-    if seeds:
-        refined = _refine_many(problem, np.stack(seeds), adj_target)
+    if target.starts:
+        refined = _refine_many(problem, np.stack(target.starts), target)
         refined_sets.append(refined)
-        if multistart and problem.dim == 2:
+        if target.short_skip and problem.dim == 2:
             # short-geodesic bound: on a single qubit any competing branch
             # is at least sqrt(w_min) * (pi - L / sqrt(w_min)) long, so a
             # converged candidate below 0.45 * pi * sqrt(w_min) is already
             # the global minimum and the multi-start sweep is skipped
             w_min = math.sqrt(problem.w.min())
             u_end, _, _ = problem.shoot(refined)
-            if any(projective_distance(u_target, u) <= TOL_ENDPOINT
+            if any(target.gap(u) <= TOL_ENDPOINT
                    and problem.weighted_norm(v) <= 0.45 * math.pi * w_min
                    for u, v in zip(u_end, refined)):
                 multistart = False
     if multistart:
-        scan = problem.scan_starts(rng)
-        u_scan, _, _ = problem.shoot(scan, n_steps=max(48, cfg.ode_steps // 4))
-        resids = np.array([projective_distance(u_target, u) for u in u_scan])
+        scan = problem.scan_starts(rng, target.radius)
+        # one radius at a time: a shot's temporaries grow with its batch
+        resids = np.array([target.gap(u) for group in np.split(scan, MAX_RADIUS_MULTIPLE)
+                           for u in problem.shoot(group, max(48, cfg.ode_steps // 4))[0]])
         order = np.argsort(resids)
         picked: list[np.ndarray] = []
         for i in order:
@@ -692,12 +775,12 @@ def _solve_shooting(problem: _MatrixProblem, u_target: np.ndarray,
             if len(picked) >= cfg.n_refine:
                 break
         if picked:
-            refined_sets.append(_refine_many(problem, np.stack(picked), adj_target))
+            refined_sets.append(_refine_many(problem, np.stack(picked), target))
 
     if not refined_sets:
         return None
     candidates = [c for c in _candidate_results(
-        problem, np.concatenate(refined_sets, axis=0), u_target)
+        problem, np.concatenate(refined_sets, axis=0), target)
         if c[1] <= TOL_ENDPOINT]
     if not candidates:
         return None
@@ -737,21 +820,18 @@ def _trivial_result(labels: Sequence[str], n_intervals: int) -> GeodesicResult:
                           method="trivial")
 
 
-def _solve_unitary(problem: _MatrixProblem, u_target: np.ndarray,
-                   warm_starts: Sequence[np.ndarray] = (),
-                   multistart: bool = True,
-                   log_starts: bool = True) -> GeodesicResult:
+def _solve(problem: _MatrixProblem, target: _Target) -> GeodesicResult:
+    """Shooting, then the direct stage as ``direct_fallback`` says; the shorter wins."""
     cfg = problem.cfg
     rng = np.random.default_rng(cfg.seed)
     # identity shortcut: nothing to solve this close to the identity
-    if projective_distance(u_target, np.eye(problem.dim)) <= 1e-14:
+    if target.gap(np.eye(problem.dim)) <= 1e-14:
         return _trivial_result(problem.labels, cfg.n_intervals)
-    result = _solve_shooting(problem, u_target, warm_starts, rng,
-                             multistart, log_starts)
+    result = _solve_shooting(problem, target, rng)
     need_direct = cfg.direct_fallback == "always" or (
         cfg.direct_fallback == "auto" and result is None)
     if need_direct:
-        direct = _direct_optimize(problem, u_target, rng)
+        direct = _direct_optimize(problem, target, rng)
         # prefer the flow solution within integration noise of a tie
         if direct is not None and (result is None
                                    or direct.length < result.length
@@ -775,12 +855,7 @@ def unitary_complexity(u_target: np.ndarray, gens: GeneratorSet,
     with ``converged=False`` rather than raised.
     """
     problem = _MatrixProblem(gens, weights, cfg)
-    u_target = np.asarray(u_target, dtype=complex)
-    if u_target.shape != (gens.dim, gens.dim):
-        raise ValueError("target dimension does not match the generator set")
-    if np.abs(u_target @ u_target.conj().T - np.eye(gens.dim)).max() > 1e-10:
-        raise ValueError("target is not unitary")
-    return _solve_unitary(problem, u_target)
+    return _solve(problem, _unitary_target(problem, u_target))
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +877,13 @@ def _daleckii_krein(lam: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray
     return v @ (gamma * (vh @ g @ v)) @ vh
 
 
-def _direct_objective(x, problem: _MatrixProblem, u_target, n_int, mu):
+def _direct_objective(x, problem: _MatrixProblem, target: _Target, n_int, mu):
     """Penalised path energy and gradient for the direct optimiser.
 
     Minimising the energy rather than the length keeps the objective smooth
     and yields constant-speed paths, whose length equals sqrt(energy).  The
-    factors A_k are unitary, so the products after interval k follow from
-    the prefixes as U (A_k ... A_0)^dag.
+    penalty is 1 - |tr(q U)|^2 / norm.  The factors A_k are unitary, so the
+    products after interval k follow from the prefixes as U (A_k ... A_0)^dag.
     """
     n_gen = len(problem.idx)
     ds = 1.0 / n_int
@@ -818,43 +893,42 @@ def _direct_objective(x, problem: _MatrixProblem, u_target, n_int, mu):
     prefix = _ordered_prefixes(a)  # prefix[k] = A_k ... A_0
     u = prefix[-1]
     before = np.concatenate([np.eye(d, dtype=complex)[None], prefix[:-1]])
-    overlap = u_target.conj().T @ u
+    overlap = target.q @ u
     tau = np.trace(overlap)
-    pen = 1.0 - (tau * tau.conjugate()).real / d**2
-    # d tau = tr(G_k dA_k), G_k = (A_{k-1} ... A_0) U_target^dag (A_{N-1} ... A_{k+1})
+    pen = 1.0 - (tau * tau.conjugate()).real / target.norm
+    # d tau = tr(G_k dA_k), G_k = (A_{k-1} ... A_0) q (A_{N-1} ... A_{k+1})
     gmat = before @ overlap @ prefix.conj().swapaxes(-1, -2)
     c = _daleckii_krein(lam, v, gmat)
     dtau = -1j * ds * np.einsum("kab,jba->kj", c, problem.mats)
-    dpen = -(2.0 / d**2) * (np.conj(tau) * dtau).real
+    dpen = -(2.0 / target.norm) * (np.conj(tau) * dtau).real
     energy = ds * float(np.sum(problem.w * y * y))
     denergy = 2.0 * ds * (problem.w * y)
     return energy + mu * pen, (denergy + mu * dpen).ravel()
 
 
-def _direct_optimize(problem: _MatrixProblem, u_target: np.ndarray,
+def _direct_optimize(problem: _MatrixProblem, target: _Target,
                      rng: np.random.Generator) -> GeodesicResult | None:
     cfg = problem.cfg
     n_int = cfg.n_intervals
     n_gen = len(problem.idx)
-    informed = problem.log_components(u_target)
     best = None
     stable = 0
     n_restarts = max(1, cfg.n_restarts_direct)
     for r in range(n_restarts):
-        if r < len(informed):
-            x0 = np.tile(informed[r], (n_int, 1)).ravel()
+        if r < len(target.starts):
+            x0 = np.tile(target.starts[r], (n_int, 1)).ravel()
         else:
             x0 = rng.normal(scale=1.0, size=n_int * n_gen)
         x = x0
         for mu in (1e2, 1e4, 1e6, 1e9):
             res = minimize(_direct_objective, x,
-                           args=(problem, u_target, n_int, mu),
+                           args=(problem, target, n_int, mu),
                            jac=True, method="L-BFGS-B",
                            options=dict(maxiter=cfg.direct_max_iters,
                                         ftol=1e-16, gtol=1e-12))
             x = res.x
         y = x.reshape(n_int, n_gen)
-        resid = projective_distance(u_target, _endpoint(y, problem.mats))
+        resid = target.gap(_endpoint(y, problem.mats))
         length = _length(y, problem.w)
         if resid <= TOL_ENDPOINT:
             improved = best is None or length < best[0] - TOL_LENGTH
@@ -862,7 +936,7 @@ def _direct_optimize(problem: _MatrixProblem, u_target: np.ndarray,
                 best = (length, resid, y)
             stable = 0 if improved else stable + 1
         # consensus stop: several restarts in a row failed to improve
-        if best is not None and stable >= 3 and r >= max(2, len(informed)):
+        if best is not None and stable >= 3 and r >= max(2, len(target.starts)):
             break
     if best is None:
         return None
@@ -885,9 +959,9 @@ def direct_path_complexity(u_target: np.ndarray, gens: GeneratorSet,
     two-sided consistency check.
     """
     problem = _MatrixProblem(gens, weights, cfg)
-    u_target = np.asarray(u_target, dtype=complex)
+    target = _unitary_target(problem, u_target)
     rng = np.random.default_rng(cfg.seed)
-    result = _direct_optimize(problem, u_target, rng)
+    result = _direct_optimize(problem, target, rng)
     if result is None:
         return replace(_failed_result(problem.labels, cfg.n_intervals), method="direct")
     return result
@@ -900,86 +974,21 @@ def direct_path_complexity(u_target: np.ndarray, gens: GeneratorSet,
 def state_complexity(psi_ref: np.ndarray, psi_target: np.ndarray,
                      gens: GeneratorSet, weights: CostWeights,
                      cfg: SolverConfig = DEFAULT_SOLVER) -> GeodesicResult:
-    """Minimal unitary complexity over unitaries mapping psi_ref to psi_target.
+    """Minimal complexity of the unitaries mapping psi_ref onto the psi_target ray.
 
-    The family of connecting unitaries is parameterised by the relative
-    phase on the reference ray, U(chi) = U0 (e^{i chi} P_ref + Q_ref); the
-    circle is scanned with warm-started shooting solves and the best point
-    polished by a bounded scalar minimisation.  For a single qubit this
-    family is the full stabilizer quotient; for larger dimensions it covers
-    the relative-phase subgroup only, so the length is an upper bound on
-    the state complexity and ``method`` carries the suffix "+upper_bound".
+    The target is the coset {U : U psi_ref ~ psi_target}, solved as one
+    boundary-value problem: the end condition is the state match plus the
+    transversality condition that the initial momentum annihilate the
+    costed stabilizer algebra of psi_ref.  The shooting and direct stages
+    are those of ``unitary_complexity``; the direct stage minimises
+    1 - |<psi_target|U psi_ref>|^2 in place of the unitary endpoint gap.
     """
     psi_ref = _normalized(psi_ref)
     psi_target = _normalized(psi_target)
-    if gens.kind != MATRIX:
-        raise ValueError("state_complexity needs matrix-kind generators")
-    d = gens.dim
-    if psi_ref.size != d or psi_target.size != d:
-        raise ValueError("state dimension does not match the generator set")
-
-    overlap = abs(np.vdot(psi_ref, psi_target))
-    if overlap >= 1.0 - 1e-14:
-        labels = [gens.generators[i].label for i in gens.costed_indices()]
-        return _trivial_result(labels, cfg.n_intervals)
-
-    u0 = _connecting_unitary(psi_ref, psi_target)
-    proj = np.outer(psi_ref, psi_ref.conj())
-    rest = np.eye(d) - proj
     problem = _MatrixProblem(gens, weights, cfg)
-    # the scan only ranks stabilizer angles and seeds the final solve, so it
-    # runs at reduced integration resolution (infidelity is second order in
-    # the endpoint error and stays far below the convergence gate)
-    scan_problem = _MatrixProblem(
-        gens, weights,
-        replace(cfg, ode_steps=max(64, cfg.ode_steps // 4), max_iters=30,
-                direct_fallback="never"))
-
-    def target_for(chi: float) -> np.ndarray:
-        return u0 @ (np.exp(1j * chi) * proj + rest)
-
-    # sweep the stabilizer circle, warm-starting each solve from its left
-    # neighbour; the first point pays for the full multistart
-    chis = np.linspace(0.0, 2.0 * np.pi, cfg.stabilizer_scan, endpoint=False)
-    scan: list[tuple[float, GeodesicResult]] = []
-    warm: tuple[np.ndarray, ...] = ()
-    for i, chi in enumerate(chis):
-        res = _solve_unitary(scan_problem, target_for(float(chi)),
-                             warm_starts=warm, multistart=(i == 0))
-        if res.converged and np.isfinite(res.length):
-            scan.append((float(chi), res))
-            warm = (res.path.values[0],)
-    if not scan:
-        return _bound_flag(_solve_unitary(problem, target_for(0.0)), d)
-    chi_best, best_scan = min(scan, key=lambda t: t[1].length)
-    seed = (best_scan.path.values[0],)
-
-    # deterministic local polish around the best scan angle: every Brent
-    # evaluation restarts from the same seed so the objective is smooth
-    def local_length(chi: float) -> float:
-        res = _solve_unitary(scan_problem, target_for(float(chi)),
-                             warm_starts=seed, multistart=False)
-        return res.length if res.converged and np.isfinite(res.length) else 1e6
-
-    span = 2.0 * np.pi / cfg.stabilizer_scan
-    opt = minimize_scalar(local_length, bounds=(chi_best - span, chi_best + span),
-                          method="bounded", options=dict(xatol=1e-6))
-    chi_opt = float(opt.x) if np.isfinite(opt.fun) and opt.fun < 1e6 else chi_best
-    result = _solve_unitary(problem, target_for(chi_opt), warm_starts=seed)
-    if not result.converged or best_scan.length < result.length - TOL_LENGTH:
-        retry = _solve_unitary(problem, target_for(chi_best), warm_starts=seed)
-        if retry.converged and retry.length <= result.length:
-            result = retry
-        elif not result.converged:
-            result = best_scan
-    return _bound_flag(result, d)
-
-
-def _bound_flag(result: GeodesicResult, dim: int) -> GeodesicResult:
-    """Mark a converged d > 2 state solve: the relative-phase scan gives an upper bound."""
-    if dim == 2 or not result.converged:
-        return result
-    return replace(result, method=f"{result.method}+upper_bound")
+    if psi_ref.size != gens.dim or psi_target.size != gens.dim:
+        raise ValueError("state dimension does not match the generator set")
+    return _solve(problem, _state_target(problem, gens, psi_ref, psi_target))
 
 
 def _normalized(psi) -> np.ndarray:
@@ -998,9 +1007,7 @@ def _connecting_unitary(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(ortho)
     if n < 1e-15:
         return (inner / abs(inner)) * np.eye(d)
-    e2 = ortho / n
-    # act as [[inner, -n], [n, inner*]] on span{psi_a, e2}, identity elsewhere
-    return (np.eye(d, dtype=complex)
-            - np.outer(psi_a, psi_a.conj()) - np.outer(e2, e2.conj())
-            + inner * np.outer(psi_a, psi_a.conj()) + n * np.outer(e2, psi_a.conj())
-            - n * np.outer(psi_a, e2.conj()) + np.conj(inner) * np.outer(e2, e2.conj()))
+    # [[inner, -n], [n, inner*]] on span{psi_a, ortho}, identity elsewhere
+    plane = np.stack([psi_a, ortho / n], axis=1)
+    block = np.array([[inner, -n], [n, np.conj(inner)]])
+    return np.eye(d) + plane @ (block - np.eye(2)) @ plane.conj().T

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .generators import PHASE_SPACE, GeneratorSet
-from .geometry import _normalized
+from .geometry import _normalized, _transverse_projector
 
 __all__ = [
     "ResponseMatrix",
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 # relative residual above which a conjugated generator counts as outside
-# the costed span, and relative singular value below which a costed
-# direction only rephases the reference state
+# the costed span
 SPAN_TOL = 1e-10
 # relative defect |R^T J R - J| / max(1, |R|^2) under which R is symplectic
 SYMPLECTIC_TOL = 1e-12
@@ -224,17 +223,6 @@ def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet,
         entries = _adjoint_rows(u, gens) @ _transverse_projector(u @ psi0, gens)
     return ResponseMatrix(flavor="state", entries=entries, time=float(t),
                           labels=gens.costed_labels(), epsilon_used=0.0)
-
-
-def _transverse_projector(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
-    """Orthogonal projector off the costed directions that only rephase psi."""
-    mats = np.stack([gens.generators[i].matrix for i in gens.costed_indices()])
-    moved = mats @ psi
-    moved -= np.outer(moved @ psi.conj(), psi)
-    tangent = np.concatenate([moved.real, moved.imag], axis=1)  # (m, 2d)
-    _, sv, vt = np.linalg.svd(tangent.T)
-    rank = int(np.sum(sv > SPAN_TOL * sv[0]))
-    return vt[:rank].T @ vt[:rank]
 
 
 # ---------------------------------------------------------------------------

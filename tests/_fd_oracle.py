@@ -13,8 +13,7 @@ from geochaos.geometry import CostWeights, SolverConfig, unitary_complexity
 
 # a light profile for near-identity targets
 ORACLE_SOLVER = SolverConfig(n_starts=24, n_refine=3, direct_fallback="auto",
-                             n_restarts_direct=2, ode_steps=128,
-                             stabilizer_scan=8, max_iters=40)
+                             n_restarts_direct=2, ode_steps=128, max_iters=40)
 
 
 def central_difference(partials_at, eps):

@@ -114,7 +114,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", [
     "window", "sweep_values", "missing_config", "malformed_config",
-    "fractional_grid_count", "text_grid_start", "parameters_not_object"])
+    "fractional_grid_count", "text_grid_start", "parameters_not_object",
+    "negative_z_weight", "zero_z_weight", "infinite_z_weight", "zero_separation",
+    "pi_separation", "one_sample"])
 def test_cli_parse_errors_exit_2(tmp_path, case):
     out = str(tmp_path / "out")
     bad_grid = tmp_path / "grid.json"
@@ -128,6 +130,9 @@ def test_cli_parse_errors_exit_2(tmp_path, case):
                                       "parameters": [1.0], "output": out}))
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{experiment: ")
+    one_sample = tmp_path / "one_sample.json"
+    one_sample.write_text(json.dumps({"experiment": "qubit-geodesic",
+                                      "parameters": {"n_samples": 1}, "output": out}))
     argv = {
         "window": ["lyapunov", "--window", "a:b", "--output", out],
         "sweep_values": ["sweep", "--experiment", "lyapunov", "--param", "omega",
@@ -137,6 +142,13 @@ def test_cli_parse_errors_exit_2(tmp_path, case):
         "fractional_grid_count": ["--config", str(bad_grid)],
         "text_grid_start": ["--config", str(text_grid)],
         "parameters_not_object": ["--config", str(bad_params)],
+        "negative_z_weight": ["qubit-geodesic", "--z-weight", "-1", "--output", out],
+        "zero_z_weight": ["qubit-geodesic", "--z-weight", "0", "--output", out],
+        "infinite_z_weight": ["qubit-geodesic", "--z-weight", "inf", "--output", out],
+        "zero_separation": ["qubit-geodesic", "--separation", "0", "--output", out],
+        "pi_separation": ["qubit-geodesic", "--separation", str(math.pi),
+                          "--output", out],
+        "one_sample": ["--config", str(one_sample)],
     }[case]
     assert main(argv) == 2
 

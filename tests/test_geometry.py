@@ -1,6 +1,7 @@
 """Cost functionals, protocol paths and the two geodesic solvers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,14 +382,32 @@ def test_result_serialization():
 
 
 def test_solver_config_json_round_trip():
-    # configs saved before tol_endpoint, tol_length and max_radius_multiple
-    # became module constants still load: unknown keys are dropped
+    # configs saved with the retired tol_endpoint, tol_length,
+    # max_radius_multiple and stabilizer_scan still load: unknown keys are
+    # dropped
     cfg = SolverConfig.from_json('{"n_starts": 10, "seed": 3, "unknown": 1, '
                                  '"tol_endpoint": 1e-6, "tol_length": 1e-6, '
-                                 '"max_radius_multiple": 5}')
+                                 '"max_radius_multiple": 5, "stabilizer_scan": 24}')
     assert cfg.n_starts == 10 and cfg.seed == 3
-    assert len(cfg.to_json()) == 10
+    assert len(cfg.to_json()) == 9
     assert SolverConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("value", ["Always", "sometimes", ""])
+def test_solver_config_rejects_unknown_direct_fallback(value):
+    with pytest.raises(ValueError, match="direct_fallback"):
+        SolverConfig(direct_fallback=value)
+    with pytest.raises(ValueError, match="direct_fallback"):
+        SolverConfig.from_json({"direct_fallback": value})
+
+
+@pytest.mark.parametrize("solve", [unitary_complexity, direct_path_complexity])
+@pytest.mark.parametrize("target,message", [(2.0 * np.eye(2), "not unitary"),
+                                            (np.eye(3), "dimension")],
+                         ids=["scaled_identity", "wrong_shape"])
+def test_solvers_validate_the_target(solve, target, message):
+    with pytest.raises(ValueError, match=message):
+        solve(target, PAULIS, ISO, LIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +458,56 @@ def test_state_complexity_triangle_inequality():
     bc = state_complexity(b, c, PAULIS, ISO, LIGHT).length
     ac = state_complexity(a, c, PAULIS, ISO, LIGHT).length
     assert ac <= ab + bc + 1e-3
+
+
+def random_qubit_state(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
+def test_state_complexity_isotropic_is_fubini_study_angle():
+    # isotropic qubit weights: the state complexity is arccos |<a|b>|
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        a, b = random_qubit_state(rng), random_qubit_state(rng)
+        res = state_complexity(a, b, PAULIS, ISO, LIGHT)
+        assert res.converged and res.method in ("euler_arnold", "direct")
+        assert res.length == pytest.approx(math.acos(min(1.0, abs(np.vdot(a, b)))),
+                                           abs=1e-6)
+
+
+STRONG_Z = CostWeights({"sigma_x": 1.0, "sigma_y": 1.0, "sigma_z": 3.0})
+
+
+def strong_z_pairs():
+    """Seeded qubit state pairs (a, b) for the (1, 1, 3) weights."""
+    rng = np.random.default_rng(21)
+    return [(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(24)]
+
+
+def test_state_complexity_strong_z_default_config():
+    # shooting misses this pair's minimum; the direct stage on the state
+    # penalty finds it
+    a, b = strong_z_pairs()[23]
+    assert np.allclose(geometry.bloch_vector(a), [-0.154, 0.988, 0.016], atol=1e-3)
+    assert np.allclose(geometry.bloch_vector(b), [0.225, -0.858, -0.462], atol=1e-3)
+    res = state_complexity(a, b, PAULIS, STRONG_Z)
+    assert res.converged
+    assert res.length == pytest.approx(1.3374787, abs=1e-6)
+
+
+def test_state_shooting_matches_direct_state_penalty():
+    a, b = strong_z_pairs()[0]
+    cfg = replace(LIGHT, direct_fallback="never")
+    shooting = state_complexity(a, b, PAULIS, STRONG_Z, cfg)
+    assert shooting.converged and shooting.method == "euler_arnold"
+    problem = geometry._MatrixProblem(PAULIS, STRONG_Z, LIGHT)
+    target = geometry._state_target(problem, PAULIS, a, b)
+    direct = geometry._direct_optimize(problem, target, np.random.default_rng(0))
+    assert direct.converged
+    assert abs(shooting.length - direct.length) <= 1e-3
+    reached = path_endpoint(direct.path, PAULIS) @ a
+    assert 1.0 - abs(np.vdot(b, reached)) <= geometry.TOL_ENDPOINT
 
 
 def test_state_complexity_requires_normalized():
@@ -535,18 +604,23 @@ def test_direct_objective_gradient_matches_central_differences():
         problem = geometry._MatrixProblem(gens, w, MULTI_QUBIT_DIRECT)
         rng = np.random.default_rng(3)
         u_target = expm(-1j * np.tensordot(rng.normal(size=n_gen), gens.matrices(), axes=1))
-        n_int, mu = 5, 1e2
-        x = rng.normal(size=n_int * n_gen)
-        _, grad = geometry._direct_objective(x, problem, u_target, n_int, mu)
-        step = 1e-6
-        fd = np.empty_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = step
-            hi, _ = geometry._direct_objective(x + e, problem, u_target, n_int, mu)
-            lo, _ = geometry._direct_objective(x - e, problem, u_target, n_int, mu)
-            fd[i] = (hi - lo) / (2 * step)
-        assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(grad).max()), n_qubits
+        psi_ref, psi_target = (v / np.linalg.norm(v) for v in (
+            rng.normal(size=(2, 2**n_qubits)) + 1j * rng.normal(size=(2, 2**n_qubits))))
+        # the unitary endpoint penalty and the state penalty
+        for target in (geometry._unitary_target(problem, u_target),
+                       geometry._state_target(problem, gens, psi_ref, psi_target)):
+            n_int, mu = 5, 1e2
+            x = rng.normal(size=n_int * n_gen)
+            _, grad = geometry._direct_objective(x, problem, target, n_int, mu)
+            step = 1e-6
+            fd = np.empty_like(x)
+            for i in range(x.size):
+                e = np.zeros_like(x)
+                e[i] = step
+                hi, _ = geometry._direct_objective(x + e, problem, target, n_int, mu)
+                lo, _ = geometry._direct_objective(x - e, problem, target, n_int, mu)
+                fd[i] = (hi - lo) / (2 * step)
+            assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(grad).max()), n_qubits
 
 
 @pytest.mark.parametrize("n_steps", [60, 120, 17])
@@ -612,18 +686,24 @@ def gell_mann():
                               for i, m in enumerate(mats)))
 
 
-def test_state_complexity_above_one_qubit_is_flagged_upper_bound():
+def test_state_complexity_qutrit():
     # qutrit |0> -> |1>: a unit-norm generator moves |0> at speed <= 1, so
     # the state complexity is pi/2, reached by exp(-i pi/2 l1)
     gens = gell_mann()
     res = state_complexity(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                           gens, CostWeights.isotropic(gens),
-                           SolverConfig(n_starts=20, n_refine=3, ode_steps=120,
-                                        seed=0, direct_fallback="never",
-                                        max_iters=40, stabilizer_scan=4))
+                           gens, CostWeights.isotropic(gens), MULTI_QUBIT_SHOOT)
     assert res.converged
-    assert res.method.endswith("+upper_bound")
+    assert res.method == "euler_arnold"
     assert res.length == pytest.approx(math.pi / 2, abs=1e-6)
-    qubit = state_complexity(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                             PAULIS, ISO, LIGHT)
-    assert qubit.method in ("euler_arnold", "direct")
+
+
+def test_state_complexity_local_paulis():
+    # |00> -> |10> flips the first qubit: pi/2, though no unitary that
+    # fixes |01> and |11> is local
+    gens = local_paulis(2)
+    res = state_complexity(np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0]),
+                           gens, CostWeights.isotropic(gens), MULTI_QUBIT_SHOOT)
+    assert res.converged
+    assert res.length == pytest.approx(math.pi / 2, abs=1e-6)
+    assert abs(np.vdot([0, 0, 1.0, 0], path_endpoint(res.path, gens)[:, 0])) ** 2 \
+        >= 1.0 - 1e-6
