@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .generators import DisplacementVector
+from .generators import DisplacementVector, _quadratic_flow
 from .response import LyapunovEstimate, ResponseMatrix
 
 __all__ = [
@@ -407,9 +407,7 @@ def evolve_wigner_gaussian(state: GaussianWignerState,
     The density is constant along trajectories, so the mean rides the flow
     and the covariance transforms by symplectic congruence.
     """
-    if not isinstance(hamiltonian, QuadraticHamiltonian):
-        raise TypeError("Gaussian Wigner evolution requires a quadratic Hamiltonian")
-    s = hamiltonian.flow_matrix(t)
+    s = _quadratic_flow(hamiltonian, state.n_modes, t)
     return GaussianWignerState(s @ state.mean, s @ state.covariance @ s.T)
 
 
@@ -425,7 +423,18 @@ def iho_response_analytic(omega: float, t: float) -> ResponseMatrix:
     sh = math.sinh(omega * t)
     entries = np.array([[ch, omega * sh], [sh / omega, ch]])
     return ResponseMatrix(flavor="unitary", entries=entries, time=float(t),
-                          labels=("x", "p"), epsilon_used=0.0)
+                          labels=("x", "p"))
+
+
+def _flow_response_analytic(system: str, omega: float, t: float) -> ResponseMatrix:
+    """Closed-form response S(t)^T of the free particle, S(t) = [[1, t], [0, 1]],
+    or of the harmonic oscillator, S(t) = [[cos wt, sin wt / w], [-w sin wt, cos wt]]."""
+    if system == "free":
+        s = np.array([[1.0, t], [0.0, 1.0]])
+    else:
+        c, sn = math.cos(omega * t), math.sin(omega * t)
+        s = np.array([[c, sn / omega], [-omega * sn, c]])
+    return ResponseMatrix(flavor="unitary", entries=s.T, time=float(t), labels=("x", "p"))
 
 
 def iho_displacement_analytic(eps1: float, eps2: float, omega: float,

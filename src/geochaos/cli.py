@@ -165,16 +165,23 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
                                  n_samples=max(cfg.time_grid[2], 11))
     traj_csv = out / "trajectory.csv"
     traj.to_csv(traj_csv)
-    expected = {"iho": (omega, -omega)}.get(system, (0.0, 0.0))
-    tol = 0.01 if system == "iho" else 0.05
-    err_fit = float(np.abs(est.lambdas - np.array(expected)).max())
-    err_cls = float(np.abs(est.lambdas - bench.lambdas).max())
-    checks = [
-        _check("response_exponents_vs_expected", err_fit, tol),
-        _check("response_vs_classical_benchmark", err_cls, max(tol, 0.02)),
-        _check("pairing_sum", float(abs(est.lambdas[0] + est.lambdas[-1])),
-               max(2 * est.residual, 1e-8)),
-    ]
+    if system == "iho":
+        # the hyperbolic window measures the t -> infinity rate
+        checks = [_check("response_exponents_vs_expected",
+                         float(np.abs(est.lambdas - [omega, -omega]).max()), 0.01),
+                  _check("response_vs_classical_benchmark",
+                         float(np.abs(est.lambdas - bench.lambdas).max()), 0.02)]
+    else:
+        # S(t) grows like t (free) or oscillates (harmonic), so a finite
+        # window does not fit the rate 0: compare with the same fit of the
+        # closed-form S(t)
+        closed = [classical._flow_response_analytic(system, omega, float(t)) for t in times]
+        expected = response.lyapunov_spectrum(
+            [response.response_spectrum(r) for r in closed], (t0, t1)).lambdas
+        checks = [_check("response_exponents_vs_expected",
+                         float(np.abs(est.lambdas - expected).max()), 0.05)]
+    checks.append(_check("pairing_sum", float(abs(est.lambdas[0] + est.lambdas[-1])),
+                         max(2 * est.residual, 1e-8)))
     return ExperimentReport(cfg.experiment,
                             {"system": system, "omega": omega,
                              "window": [t0, t1],
@@ -204,8 +211,7 @@ def _run_otoc_check(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
             avg_gap = float(np.abs(lhs - rhs).max() / max(1.0, np.abs(lhs).max()))
             worst = max(worst, resid)
             worst_avg = max(worst_avg, avg_gap)
-            idx = [gens.labels.index(l) for l in ru.labels]
-            block = omat.entries[np.ix_(idx, idx)]
+            block = otoc._costed_block(omat, ru.labels)
             rows.append([t, resid, avg_gap, *block.imag.ravel()])
     csv = out / "otoc.csv"
     _write_csv(csv, ["t", "residual", "averaged_gap",
@@ -223,7 +229,8 @@ def _run_qubit_geodesic(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     """Bloch-sampled minimal protocols between two fixed near-antipodal states.
 
     Under isotropic weights the optimal trace is a great circle; penalising
-    the z generator bends it measurably off that plane.
+    the z generator bends it off that plane once the separation is large
+    enough that the in-plane z rotation is no longer the shortest path.
     """
     gens = pauli_generators()
     angle = float(cfg.parameters.get("separation", 2.6))
@@ -245,6 +252,7 @@ def _run_qubit_geodesic(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     solver = geometry.SolverConfig(seed=cfg.seed)
     outputs = []
     margins = {}
+    lengths = {}
     for tag, weights in (
         ("isotropic", geometry.CostWeights({"sigma_x": 1.0, "sigma_y": 1.0,
                                             "sigma_z": 1.0})),
@@ -254,15 +262,23 @@ def _run_qubit_geodesic(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
         geo = geometry.state_complexity(psi_a, psi_b, gens, weights, solver)
         samples = _bloch_samples(geo.path, gens, psi_a, n_samples)
         margins[tag] = float(np.abs(samples @ normal).max())
+        lengths[tag] = geo.length
         csv = out / f"geodesic_{tag}.csv"
         _write_csv(csv, ["sigma", "bloch_x", "bloch_y", "bloch_z"],
                    [[s, *xyz] for s, xyz in
                     zip(np.linspace(0, 1, n_samples), samples)])
         outputs.append(csv.name)
+    # two feasible weighted paths: the in-plane z rotation, and the pi
+    # rotation about the in-plane bisector; a geodesic shorter than the z
+    # rotation must leave the plane, and one that is not must stay in it
+    z_rotation = math.sqrt(penalty) * angle / 2
+    leaves = lengths["weighted"] < z_rotation - 1e-6
     checks = [
         _check("isotropic_great_circle_margin", margins["isotropic"], 1e-6),
-        _check("weighted_plane_deviation", margins["weighted"], 1e-3,
-               larger_is_pass=True),
+        _check("weighted_length_over_feasible_paths",
+               lengths["weighted"] - min(z_rotation, math.pi / 2), 1e-6),
+        _check("weighted_plane_deviation", margins["weighted"],
+               1e-3 if leaves else 1e-6, larger_is_pass=leaves),
     ]
     return ExperimentReport(cfg.experiment,
                             {"separation": angle, "z_weight": penalty},

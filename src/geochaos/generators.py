@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Protocol
 
 import numpy as np
 
 HBAR = 1.0
 HERMITICITY_TOL = 1e-12
+# relative misfit above which a matrix counts as outside the costed span
+_SPAN_TOL = 1e-10
 
 MATRIX = "matrix"
 PHASE_SPACE = "phase_space"
@@ -214,6 +217,36 @@ class GeneratorSet:
             raise ValueError("matrices() requires a matrix-kind set")
         return np.stack([g.matrix for g in self.generators])
 
+    @cached_property
+    def _costed_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The costed matrices (n, d, d) with their trace parts dropped, since
+        endpoints compare modulo global phase, and the pseudo-inverse of their
+        real Gram matrix: an identity multiple among them gets no component."""
+        d = self.dim
+        mats = np.stack([self.generators[i].matrix for i in self.costed_indices()])
+        basis = mats - np.trace(mats, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+        basis.setflags(write=False)
+        return basis, np.linalg.pinv(np.einsum("iab,jab->ij", basis.conj(), basis).real)
+
+    def _coordinates(self, x: np.ndarray) -> np.ndarray:
+        """Components (..., n) along the costed basis of Hermitian x (..., d, d)."""
+        basis, gram_inv = self._costed_basis
+        n, d = basis.shape[:2]
+        flat = x.reshape(*x.shape[:-2], d * d)
+        return (flat @ basis.conj().reshape(n, d * d).T).real @ gram_inv
+
+    def _span_coordinates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_coordinates`` of x, and whether they rebuild each matrix modulo the
+        identity within a relative Frobenius misfit of ``_SPAN_TOL``."""
+        basis, _ = self._costed_basis
+        n, d = basis.shape[:2]
+        c = self._coordinates(x)
+        flat = x.reshape(*x.shape[:-2], d * d)
+        traceless = flat - (np.trace(x, axis1=-2, axis2=-1) / d)[..., None] * np.eye(d).ravel()
+        misfit = traceless - c @ basis.reshape(n, d * d)
+        return c, (np.linalg.norm(misfit, axis=-1)
+                   <= _SPAN_TOL * np.linalg.norm(traceless, axis=-1))
+
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind, "labels": list(self.labels)}
         if self.kind == MATRIX:
@@ -317,6 +350,11 @@ def commutator(a: Generator, b: Generator) -> Generator:
     return Generator.from_phase_space(label, np.zeros(n), np.zeros(n), c)
 
 
+def _commutator_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """All commutators [x_i, y_j] of two matrix stacks, as (len(x), len(y), d, d)."""
+    return x[:, None] @ y[None] - y[None] @ x[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class DisplacementVector:
     """Heisenberg-group element exp(i (a . q + b . p + phase)).
@@ -387,14 +425,18 @@ def conjugate_by_quadratic_flow(d: DisplacementVector, hamiltonian: QuadraticFlo
     Hamiltonians generate no extra central term).  This is the exact
     Heisenberg-picture transport used throughout the response pipeline.
     """
+    n = d.n_modes
+    z = _quadratic_flow(hamiltonian, n, t) @ np.concatenate([d.a, d.b])
+    return DisplacementVector(z[:n], z[n:], d.phase)
+
+
+def _quadratic_flow(hamiltonian: QuadraticFlow, n_modes: int, t: float) -> np.ndarray:
+    """The flow map S(t) of a quadratic Hamiltonian, checked against n_modes."""
     flow = getattr(hamiltonian, "flow_matrix", None)
     if flow is None:
         raise TypeError("hamiltonian must be quadratic (expose flow_matrix(t))")
     s = np.asarray(flow(t), dtype=float)
-    n = d.n_modes
-    if s.shape != (2 * n, 2 * n):
-        raise ValueError(
-            f"flow matrix shape {s.shape} does not match {n}-mode displacement"
-        )
-    z = s @ np.concatenate([d.a, d.b])
-    return DisplacementVector(z[:n], z[n:], d.phase)
+    if s.shape != (2 * n_modes, 2 * n_modes):
+        raise ValueError(f"flow matrix shape {s.shape} does not match "
+                         f"{n_modes} mode(s)")
+    return s

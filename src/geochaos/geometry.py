@@ -25,10 +25,13 @@ from scipy.linalg import logm
 from scipy.optimize import minimize
 
 from .generators import (
+    HERMITICITY_TOL,
     MATRIX,
+    PAULI_MATRICES,
     PHASE_SPACE,
     DisplacementVector,
     GeneratorSet,
+    _commutator_table,
 )
 
 __all__ = [
@@ -57,12 +60,6 @@ TOL_LENGTH = 1e-8
 MAX_RADIUS_MULTIPLE = 3
 # relative singular value below which a costed direction only rephases a state
 RANK_TOL = 1e-10
-
-_PAULI = np.stack([
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-])
 
 # Gauss-Legendre nodes / weights for the 4th-order commutator-free propagator
 _GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
@@ -282,9 +279,7 @@ def projective_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def bloch_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).ravel()
-    return np.array([
-        (psi.conj() @ (_PAULI[k] @ psi)).real for k in range(3)
-    ])
+    return np.array([(psi.conj() @ (m @ psi)).real for m in PAULI_MATRICES.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +326,17 @@ def heisenberg_complexity(d: DisplacementVector, weights: CostWeights,
 # structure constants and the geodesic flow
 
 
-def _structure_constants(gens: GeneratorSet, indices: Sequence[int],
-                         tol: float = 1e-9) -> np.ndarray:
-    """Real g with [M_a, M_c] = i sum_d g[a, c, d] M_d over the given indices.
+def _structure_constants(gens: GeneratorSet) -> np.ndarray:
+    """Real g with [M_a, M_c] = i sum_d g[a, c, d] M_d over the costed generators.
 
-    Raises if the selected generators do not close under commutation.
+    Raises if they do not close under commutation.
     """
-    mats = np.stack([gens.generators[i].matrix for i in indices])
-    m = len(indices)
-    gram = np.einsum("iab,jab->ij", mats.conj(), mats).real
-    gram_inv = np.linalg.inv(gram)
-    g = np.zeros((m, m, m))
-    for a in range(m):
-        for c in range(m):
-            comm = mats[a] @ mats[c] - mats[c] @ mats[a]
-            target = -1j * comm  # Hermitian if the set closes
-            rhs = np.einsum("dab,ab->d", mats.conj(), target)
-            coeff = gram_inv @ rhs.real
-            recon = np.einsum("d,dab->ab", coeff, mats)
-            if np.abs(recon - target).max() > tol * max(1.0, np.abs(target).max()):
-                raise ValueError(
-                    "generator set is not closed under commutation; "
-                    "the geodesic flow is not defined on its span"
-                )
-            g[a, c] = coeff
+    mats = gens._costed_basis[0]
+    # -i [M_a, M_c] is Hermitian, and in the span if the set closes
+    g, closed = gens._span_coordinates(-1j * _commutator_table(mats, mats))
+    if not closed.all():
+        raise ValueError("generator set is not closed under commutation; "
+                         "the geodesic flow is not defined on its span")
     return g
 
 
@@ -396,6 +378,17 @@ def _exp_hermitian(h: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = sinc * off.conj()
     out[..., 1, 1] = cos - sinc * z
     return out
+
+
+def _evolution(hamiltonian, gens: GeneratorSet, t: float) -> np.ndarray:
+    """U_t = exp(-i H t) for a Hermitian matrix Hamiltonian on the space of gens."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    if h.shape != (gens.dim, gens.dim):
+        raise ValueError("Hamiltonian dimension does not match the generators")
+    # the closed form of _exp_hermitian reads only the upper triangle
+    if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
+        raise ValueError("Hamiltonian is not Hermitian")
+    return _exp_hermitian(h * t)
 
 
 def _eigh_exp(h: np.ndarray):
@@ -492,15 +485,6 @@ def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
     return u, ys[n_steps], ys if want_path else None
 
 
-def _adjoint_matrix(u: np.ndarray, mats: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
-    """Phase-free footprint of u (..., d, d): components of u M_a u^dag in the basis."""
-    n, d = mats.shape[:2]
-    conj = u[..., None, :, :] @ mats @ u.conj().swapaxes(-1, -2)[..., None, :, :]
-    overlaps = (conj.reshape(*conj.shape[:-2], d * d)
-                @ mats.conj().reshape(n, d * d).T).real
-    return overlaps @ gram_inv
-
-
 # ---------------------------------------------------------------------------
 # the shooting solver
 
@@ -515,13 +499,11 @@ class _MatrixProblem:
             raise ValueError(f"solver supports dim <= {SOLVER_DIM_CAP}")
         weights.validate_for(gens)
         self.cfg = cfg
-        self.idx = gens.costed_indices()
-        self.labels = [gens.generators[i].label for i in self.idx]
-        self.mats = np.stack([gens.generators[i].matrix for i in self.idx])
+        self.gens = gens
+        self.labels = list(gens.costed_labels())
+        self.mats = gens._costed_basis[0]
         self.w = np.array([weights.weight(l) for l in self.labels])
-        self.g = _structure_constants(gens, self.idx)
-        gram = np.einsum("iab,jab->ij", self.mats.conj(), self.mats).real
-        self.gram_inv = np.linalg.inv(gram)
+        self.g = _structure_constants(gens)
         self.dim = gens.dim
 
     # -- endpoint evaluation ------------------------------------------------
@@ -529,6 +511,11 @@ class _MatrixProblem:
     def shoot(self, v, n_steps=None, want_path=False):
         n_steps = n_steps or self.cfg.ode_steps
         return _shoot_batch(v, self.g, self.w, self.mats, n_steps, want_path)
+
+    def footprint(self, u: np.ndarray) -> np.ndarray:
+        """Phase-free footprint of u (..., d, d): components of u M_a u^dag."""
+        moved = u[..., None, :, :] @ self.mats @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+        return self.gens._coordinates(moved)
 
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(np.sum(self.w * np.asarray(v) ** 2)))
@@ -541,23 +528,16 @@ class _MatrixProblem:
             u0 = u * (abs(tr) / tr)
         else:
             u0 = u
-        outs = []
-        for extra in range(d):
-            phase = np.exp(2j * np.pi * extra / d)
-            h = logm(u0 * phase)
-            herm = 1j * h  # Hermitian target: u0 * phase = exp(-i herm)
-            herm = herm - (np.trace(herm) / d) * np.eye(d)
-            comp = self.gram_inv @ np.einsum("dab,ab->d", self.mats.conj(), herm).real
-            recon = np.einsum("d,dab->ab", comp, self.mats)
-            recon = recon - (np.trace(recon) / d) * np.eye(d)
-            if np.abs(recon - herm).max() < 1e-8 * max(1.0, np.abs(herm).max()):
-                outs.append(comp)
-        return outs
+        # Hermitian targets: u0 * phase = exp(-i herm)
+        herms = np.stack([1j * logm(u0 * np.exp(2j * np.pi * extra / d))
+                          for extra in range(d)])
+        comps, inside = self.gens._span_coordinates(herms)
+        return list(comps[inside])
 
     # -- start generation ---------------------------------------------------
 
     def scan_starts(self, rng: np.random.Generator, radius: float) -> np.ndarray:
-        n = len(self.idx)
+        n = len(self.labels)
         cfg = self.cfg
         radii = [radius * k for k in range(1, MAX_RADIUS_MULTIPLE + 1)]
         per = max(1, cfg.n_starts // len(radii))
@@ -609,11 +589,10 @@ def _unitary_target(problem: _MatrixProblem, u_target) -> _Target:
         raise ValueError("target dimension does not match the generator set")
     if np.abs(u_target @ u_target.conj().T - np.eye(problem.dim)).max() > 1e-10:
         raise ValueError("target is not unitary")
-    adj_target = _adjoint_matrix(u_target, problem.mats, problem.gram_inv)
+    adj_target = problem.footprint(u_target)
 
     def residual(u_end, v):
-        adj = _adjoint_matrix(u_end, problem.mats, problem.gram_inv)
-        return (adj - adj_target).reshape(u_end.shape[0], -1)
+        return (problem.footprint(u_end) - adj_target).reshape(u_end.shape[0], -1)
 
     # endpoint angles ~3e-7, i.e. endpoint infidelities ~1e-13, comfortably
     # below the convergence gate and above the integration noise floor
@@ -661,8 +640,7 @@ def _state_target(problem: _MatrixProblem, gens: GeneratorSet,
 
 def _transverse_projector(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Orthogonal projector off the costed directions that only rephase psi."""
-    mats = np.stack([gens.generators[i].matrix for i in gens.costed_indices()])
-    moved = mats @ psi
+    moved = gens._costed_basis[0] @ psi
     moved -= np.outer(moved @ psi.conj(), psi)
     tangent = np.concatenate([moved.real, moved.imag], axis=1)  # (m, 2d)
     _, sv, vt = np.linalg.svd(tangent.T)
@@ -885,7 +863,7 @@ def _direct_objective(x, problem: _MatrixProblem, target: _Target, n_int, mu):
     penalty is 1 - |tr(q U)|^2 / norm.  The factors A_k are unitary, so the
     products after interval k follow from the prefixes as U (A_k ... A_0)^dag.
     """
-    n_gen = len(problem.idx)
+    n_gen = len(problem.labels)
     ds = 1.0 / n_int
     y = x.reshape(n_int, n_gen)
     d = problem.dim
@@ -910,7 +888,7 @@ def _direct_optimize(problem: _MatrixProblem, target: _Target,
                      rng: np.random.Generator) -> GeodesicResult | None:
     cfg = problem.cfg
     n_int = cfg.n_intervals
-    n_gen = len(problem.idx)
+    n_gen = len(problem.labels)
     best = None
     stable = 0
     n_restarts = max(1, cfg.n_restarts_direct)

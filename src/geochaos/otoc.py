@@ -17,9 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .generators import HBAR, MATRIX, PHASE_SPACE, GeneratorSet
+from .generators import (
+    HBAR,
+    MATRIX,
+    PHASE_SPACE,
+    GeneratorSet,
+    _commutator_table,
+    _quadratic_flow,
+)
+from .geometry import _evolution
 from .response import ResponseMatrix, unitary_response_matrix
 
 __all__ = [
@@ -71,24 +78,21 @@ class OtocMatrix:
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
 
 
-def _phase_space_commutator_table(gens: GeneratorSet) -> np.ndarray:
-    a = np.stack([g.a for g in gens])
-    b = np.stack([g.b for g in gens])
-    return 1j * HBAR * (a @ b.T - b @ a.T)
+def _phase_space_commutator_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The c-numbers [X_i, Y_j] of (a, b) coefficient rows x (m, 2N) and y (k, 2N)."""
+    n = x.shape[1] // 2
+    return 1j * HBAR * (x[:, :n] @ y[:, n:].T - x[:, n:] @ y[:, :n].T)
 
 
 def transfer_matrix(gens: GeneratorSet) -> TransferMatrix:
     """All pairwise commutators of a generator set; antisymmetric by build."""
     if gens.kind == PHASE_SPACE:
-        entries = _phase_space_commutator_table(gens)
+        ab = np.stack([g.coeffs[:-1] for g in gens])
+        entries = _phase_space_commutator_table(ab, ab)
         return TransferMatrix(labels=gens.labels, entries=entries, kind=PHASE_SPACE)
     mats = gens.matrices()
-    n, d = len(gens), gens.dim
-    entries = np.empty((n, n, d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = mats[i] @ mats[j] - mats[j] @ mats[i]
-    return TransferMatrix(labels=gens.labels, entries=entries, kind=MATRIX)
+    return TransferMatrix(labels=gens.labels, entries=_commutator_table(mats, mats),
+                          kind=MATRIX)
 
 
 def otoc_matrix(hamiltonian, gens: GeneratorSet, t: float) -> OtocMatrix:
@@ -96,47 +100,26 @@ def otoc_matrix(hamiltonian, gens: GeneratorSet, t: float) -> OtocMatrix:
 
     Phase-space kind: the coefficient vectors ride the forward classical
     flow map (exact for quadratic Hamiltonians), matching the response
-    pipeline.  Matrix kind: M_I(t) = U(t)^dag M_I U(t) with U = exp(-iHt).
+    pipeline.  Matrix kind: M_I(t) = U(t)^dag M_I U(t) with U = exp(-iHt),
+    for a Hermitian H (a ``ValueError`` otherwise).
     """
     if gens.kind == PHASE_SPACE:
-        flow = getattr(hamiltonian, "flow_matrix", None)
-        if flow is None:
-            raise TypeError("phase-space commutator evolution needs a "
-                            "quadratic Hamiltonian")
-        s = np.asarray(flow(t), dtype=float)
-        table = _phase_space_commutator_table(gens)
-        # evolved coefficient vectors; the identity component never matters
-        base = np.stack([np.concatenate([g.a, g.b]) for g in gens])
-        moved = base @ s.T  # row I -> S(t) coeffs_I
-        # express moved vectors in the generator basis (for Heisenberg sets
-        # the costed generators are the standard basis; identity rows vanish)
-        gram = base @ base.T
-        # guard: identity rows are zero vectors; solve on the costed block
-        idx = [i for i in range(len(gens)) if np.abs(base[i]).max() > 0]
-        gsub = gram[np.ix_(idx, idx)]
-        comp = np.zeros((len(gens), len(gens)))
-        sub = np.linalg.solve(gsub, (moved @ base[idx].T).T).T
-        comp[:, idx] = sub
-        entries = comp @ table
+        # M_I(t) has (a, b) = S(t) (a_I, b_I); the phase never enters
+        ab = np.stack([g.coeffs[:-1] for g in gens])
+        s = _quadratic_flow(hamiltonian, gens.n_modes, t)
+        entries = _phase_space_commutator_table(ab @ s.T, ab)
         return OtocMatrix(labels=gens.labels, entries=entries,
                           kind=PHASE_SPACE, time=float(t))
-    h = np.asarray(hamiltonian, dtype=complex)
-    u = expm(-1j * h * t)
+    u = _evolution(hamiltonian, gens, t)
     mats = gens.matrices()
     evolved = np.einsum("ba,gbc,cd->gad", u.conj(), mats, u)
-    n, d = len(gens), gens.dim
-    entries = np.empty((n, n, d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = evolved[i] @ mats[j] - mats[j] @ evolved[i]
-    return OtocMatrix(labels=gens.labels, entries=entries, kind=MATRIX,
-                      time=float(t))
+    return OtocMatrix(labels=gens.labels, entries=_commutator_table(evolved, mats),
+                      kind=MATRIX, time=float(t))
 
 
-def _costed_block(labels: tuple[str, ...], entries: np.ndarray,
-                  keep: tuple[str, ...]) -> np.ndarray:
-    idx = [labels.index(l) for l in keep]
-    return entries[np.ix_(idx, idx)]
+def _costed_block(m: TransferMatrix | OtocMatrix, keep: tuple[str, ...]) -> np.ndarray:
+    idx = [m.labels.index(l) for l in keep]
+    return m.entries[np.ix_(idx, idx)]
 
 
 def check_correspondence(ru: ResponseMatrix, transfer: TransferMatrix,
@@ -145,9 +128,8 @@ def check_correspondence(ru: ResponseMatrix, transfer: TransferMatrix,
     if transfer.kind != PHASE_SPACE or otoc.kind != PHASE_SPACE:
         raise ValueError("the correspondence is defined for c-number entries "
                          "(phase-space generators)")
-    keep = ru.labels
-    t_block = _costed_block(transfer.labels, transfer.entries, keep)
-    o_block = _costed_block(otoc.labels, otoc.entries, keep)
+    t_block = _costed_block(transfer, ru.labels)
+    o_block = _costed_block(otoc, ru.labels)
     if ru.entries.shape != t_block.shape:
         raise ValueError("response and transfer dimensions do not match")
     return float(np.abs(ru.entries @ t_block - o_block).max())
@@ -171,9 +153,8 @@ def averaged_otoc_identity(psi, hamiltonian, gens: GeneratorSet, t: float):
     ru = unitary_response_matrix(hamiltonian, gens, t)
     transfer = transfer_matrix(gens)
     otoc = otoc_matrix(hamiltonian, gens, t)
-    keep = ru.labels
-    t_block = _costed_block(transfer.labels, transfer.entries, keep)
-    o_block = _costed_block(otoc.labels, otoc.entries, keep)
+    t_block = _costed_block(transfer, ru.labels)
+    o_block = _costed_block(otoc, ru.labels)
     lhs = o_block.conj().T @ o_block
     lu = ru.entries.T @ ru.entries
     rhs = t_block.conj().T @ lu @ t_block

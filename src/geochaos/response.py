@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from .generators import PHASE_SPACE, GeneratorSet
-from .geometry import _normalized, _transverse_projector
+from .generators import PHASE_SPACE, GeneratorSet, _quadratic_flow
+from .geometry import _evolution, _normalized, _transverse_projector
 
 __all__ = [
     "ResponseMatrix",
@@ -46,9 +45,6 @@ __all__ = [
     "lyapunov_spectrum",
 ]
 
-# relative residual above which a conjugated generator counts as outside
-# the costed span
-SPAN_TOL = 1e-10
 # relative defect |R^T J R - J| / max(1, |R|^2) under which R is symplectic
 SYMPLECTIC_TOL = 1e-12
 
@@ -61,7 +57,6 @@ class ResponseMatrix:
     entries: np.ndarray  # (n, n) real; row = perturbation, column = measured
     time: float
     labels: tuple[str, ...]
-    epsilon_used: float  # 0.0 for the closed forms
     reliable: np.ndarray | None = None  # per-entry flags, all True by default
 
     def __post_init__(self):
@@ -85,7 +80,6 @@ class ResponseMatrix:
             "time": self.time,
             "labels": list(self.labels),
             "entries": self.entries.tolist(),
-            "epsilon_used": self.epsilon_used,
             "reliable": self.reliable.tolist(),
         }
 
@@ -136,56 +130,25 @@ def unitary_response_matrix(hamiltonian, gens: GeneratorSet,
     basis components of ``U_t M_K U_t^dag`` as partials.  Phase-space kind:
     the components ride the forward flow map, so R_u = S(t)^T.  Matrix kind:
     R_u = Ad(U_t) in the costed generators; a ``ValueError`` is raised when
-    some conjugated generator leaves their span.
+    H is not Hermitian or some conjugated generator leaves their span.
     """
     if gens.kind == PHASE_SPACE:
-        entries = _flow_matrix(hamiltonian, gens, t).T
+        entries = _quadratic_flow(hamiltonian, gens.n_modes, t).T
     else:
-        entries = _adjoint_rows(_propagator(hamiltonian, gens, t), gens)
+        entries = _adjoint_evolution(hamiltonian, gens, t)[1]
     return ResponseMatrix(flavor="unitary", entries=entries, time=float(t),
-                          labels=gens.costed_labels(), epsilon_used=0.0)
+                          labels=gens.costed_labels())
 
 
-def _flow_matrix(hamiltonian, gens: GeneratorSet, t: float) -> np.ndarray:
-    flow = getattr(hamiltonian, "flow_matrix", None)
-    if flow is None:
-        raise TypeError("the phase-space pipeline needs a quadratic Hamiltonian "
-                        "(exposing flow_matrix(t))")
-    s = np.asarray(flow(t), dtype=float)
-    n = gens.n_modes
-    if s.shape != (2 * n, 2 * n):
-        raise ValueError(f"flow matrix shape {s.shape} does not match the "
-                         f"{n}-mode generator set")
-    return s
-
-
-def _propagator(hamiltonian, gens: GeneratorSet, t: float) -> np.ndarray:
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != (gens.dim, gens.dim):
-        raise ValueError("Hamiltonian dimension does not match the generators")
-    return expm(-1j * h * t)
-
-
-def _adjoint_rows(u: np.ndarray, gens: GeneratorSet) -> np.ndarray:
-    """Row K: components of U M_K U^dag in the costed generators.
-
-    Endpoints are compared modulo global phase, so trace parts are dropped
-    before the Hilbert-Schmidt Gram solve.
-    """
-    d = gens.dim
-    basis = np.stack([gens.generators[i].matrix for i in gens.costed_indices()])
-    basis = basis - np.trace(basis, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
-    moved = (u @ basis @ u.conj().T).reshape(len(basis), -1)
-    flat = basis.reshape(len(basis), -1)
-    gram = (flat.conj() @ flat.T).real
-    rows = np.linalg.solve(gram, (flat.conj() @ moved.T).real).T
-    misfit = np.linalg.norm(moved - rows @ flat, axis=1)
-    scale = np.linalg.norm(moved, axis=1)
-    for label, off, size in zip(gens.costed_labels(), misfit, scale):
-        if off > SPAN_TOL * size:
-            raise ValueError(f"U_t {label} U_t^dag leaves the span of the costed "
-                             f"generators (relative residual {off / size:.2e})")
-    return rows
+def _adjoint_evolution(hamiltonian, gens: GeneratorSet, t: float):
+    """U_t, and Ad(U_t): row K holds the components of U_t M_K U_t^dag."""
+    u = _evolution(hamiltonian, gens, t)
+    rows, inside = gens._span_coordinates(u @ gens._costed_basis[0] @ u.conj().T)
+    if not inside.all():
+        label = gens.costed_labels()[int(np.argmin(inside))]
+        raise ValueError(f"U_t {label} U_t^dag leaves the span of the costed "
+                         f"generators")
+    return u, rows
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +177,15 @@ def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet,
         mean = np.asarray(getattr(psi0, "mean"), dtype=float)
         if mean.size != 2 * gens.n_modes:
             raise ValueError("state dimension does not match the generator set")
-        entries = _flow_matrix(hamiltonian, gens, t)
+        entries = _quadratic_flow(hamiltonian, gens.n_modes, t)
     else:
         psi0 = _normalized(psi0)
         if psi0.size != gens.dim:
             raise ValueError("state dimension does not match the generator set")
-        u = _propagator(hamiltonian, gens, t)
-        entries = _adjoint_rows(u, gens) @ _transverse_projector(u @ psi0, gens)
+        u, rows = _adjoint_evolution(hamiltonian, gens, t)
+        entries = rows @ _transverse_projector(u @ psi0, gens)
     return ResponseMatrix(flavor="state", entries=entries, time=float(t),
-                          labels=gens.costed_labels(), epsilon_used=0.0)
+                          labels=gens.costed_labels())
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,19 @@ def test_lyapunov_experiment(tmp_path):
     assert len(traj) >= 12
 
 
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--system", "free"],
+    ["lyapunov", "--system", "harmonic", "--omega", "0.5"],
+    ["lyapunov", "--system", "iho", "--omega", "2"],
+    ["qubit-geodesic", "--separation", "1.2"],
+    ["qubit-geodesic", "--separation", "2.0"],
+], ids=["free", "harmonic_0.5", "iho_2", "separation_1.2", "separation_2.0"])
+def test_cli_checks_accept_correct_results(tmp_path, argv):
+    # free and harmonic fits over 5:10 read ~0.1, not their t -> infinity
+    # rate 0; below the crossover the weighted qubit geodesic stays in plane
+    assert main(argv + ["--output", str(tmp_path / "out")]) == 0
+
+
 def test_sweep_experiment_parallel(tmp_path):
     cfg = ExperimentConfig(
         experiment="sweep",

@@ -2,18 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geochaos.generators import (
+    HBAR,
     DisplacementVector,
     Generator,
     GeneratorSet,
+    _commutator_table,
     commutator,
     compose_displacements,
     conjugate_by_quadratic_flow,
     heisenberg_generators,
     pauli_generators,
 )
-from geochaos.classical import harmonic_oscillator, inverted_oscillator
+from geochaos.classical import (
+    QuadraticHamiltonian,
+    harmonic_oscillator,
+    inverted_oscillator,
+    symplectic_form,
+)
+from test_geometry import SZ, gell_mann, local_paulis
+
+finite = st.floats(min_value=-2.0, max_value=2.0)
+# the traceless costed sets every solve runs on
+COSTED_SETS = {"paulis": pauli_generators(), "local_paulis": local_paulis(2),
+               "gell_mann": gell_mann()}
 
 
 def truncated_qp(n):
@@ -198,13 +213,35 @@ def test_compose_inverse_cancels():
     assert out.phase == pytest.approx(0.0, abs=1e-15)
 
 
-def test_compose_associative():
-    rng = np.random.default_rng(3)
-    ds = [DisplacementVector(rng.normal(size=2), rng.normal(size=2),
-                             phase=rng.normal()) for _ in range(3)]
+def displacements(n_modes, count):
+    one = st.tuples(st.lists(finite, min_size=n_modes, max_size=n_modes),
+                    st.lists(finite, min_size=n_modes, max_size=n_modes), finite)
+    return st.lists(one.map(lambda abp: DisplacementVector(*abp)),
+                    min_size=count, max_size=count)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda n: displacements(n, 3)))
+def test_compose_associative(ds):
     left = compose_displacements(compose_displacements(ds[0], ds[1]), ds[2])
     right = compose_displacements(ds[0], compose_displacements(ds[1], ds[2]))
     assert left.allclose(right, tol=1e-12, include_phase=True)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda n: displacements(n, 2)))
+def test_compose_phase_cocycle(ds):
+    # the phase picked up beyond the sum is (hbar / 2) times the symplectic
+    # form, so the group commutator d1 d2 (d2 d1)^-1 is the central phase
+    # hbar (a1 . b2 - b1 . a2)
+    d1, d2 = ds
+    form = float(d1.a @ d2.b - d1.b @ d2.a)
+    excess = compose_displacements(d1, d2).phase - d1.phase - d2.phase
+    assert excess == pytest.approx(0.5 * HBAR * form, abs=1e-12)
+    loop = compose_displacements(compose_displacements(d1, d2),
+                                 compose_displacements(d2, d1).inverse())
+    assert loop.is_pure_phase(tol=1e-12)
+    assert loop.phase == pytest.approx(HBAR * form, abs=1e-12)
 
 
 def test_compose_dimension_mismatch():
@@ -254,15 +291,64 @@ def test_conjugate_is_group_homomorphism():
         assert lhs.allclose(rhs, tol=1e-12)
 
 
-def test_flow_matrix_is_symplectic():
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for ham in (inverted_oscillator(1.3), harmonic_oscillator(0.7)):
-        for t in (0.5, 2.0, 5.0):
-            s = ham.flow_matrix(t)
-            assert np.abs(s.T @ j @ s - j).max() <= 1e-10
+def symmetric_forms(n_modes):
+    size = 2 * n_modes
+    return st.lists(finite, min_size=size * size, max_size=size * size).map(
+        lambda v: np.add(np.reshape(v, (size, size)),
+                         np.reshape(v, (size, size)).T) / 2)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 2).flatmap(symmetric_forms),
+       st.floats(min_value=0.0, max_value=3.0))
+def test_flow_matrix_is_symplectic(a, t):
+    ham = QuadraticHamiltonian(a)
+    s = ham.flow_matrix(t)
+    j = symplectic_form(ham.n_modes)
+    assert np.abs(s.T @ j @ s - j).max() <= 1e-10 * max(1.0, np.abs(s).max() ** 2)
 
 
 def test_conjugate_requires_quadratic_flow():
     d = DisplacementVector(np.array([1.0]), np.array([0.0]))
     with pytest.raises(TypeError):
         conjugate_by_quadratic_flow(d, object(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the costed basis and its coordinate map
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(COSTED_SETS)), st.data())
+def test_span_coordinates_recover_components(name, data):
+    # sum_i c_i M_i + lambda I maps back to c: the identity part is dropped
+    gens = COSTED_SETS[name]
+    c = np.array(data.draw(st.lists(finite, min_size=len(gens), max_size=len(gens))))
+    x = np.tensordot(c, gens.matrices(), axes=1) + data.draw(finite) * np.eye(gens.dim)
+    got, inside = gens._span_coordinates(x)
+    assert inside
+    assert np.abs(got - c).max() <= 1e-12 * max(1.0, np.abs(c).max())
+    assert np.array_equal(gens._coordinates(x), got)
+
+
+@settings(max_examples=40)
+@given(st.lists(finite, min_size=6, max_size=6), finite,
+       st.floats(min_value=0.01, max_value=2.0), st.sampled_from([-1.0, 1.0]))
+def test_span_check_rejects_zz_under_local_paulis(c, lam, mu, sign):
+    gens = COSTED_SETS["local_paulis"]
+    inside_x = np.tensordot(c, gens.matrices(), axes=1) + lam * np.eye(4)
+    zz = np.kron(SZ, SZ)
+    _, inside = gens._span_coordinates(np.stack([inside_x, inside_x + sign * mu * zz]))
+    assert inside.tolist() == [True, False]
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(COSTED_SETS)), st.integers(0, 2**32 - 1))
+def test_commutator_table_equals_pairwise_loop(name, seed):
+    mats = COSTED_SETS[name].matrices()
+    d = mats.shape[1]
+    rng = np.random.default_rng(seed)
+    other = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    for x, y in ((mats, mats), (other, mats)):
+        loop = np.array([[a @ b - b @ a for b in y] for a in x])
+        assert np.array_equal(_commutator_table(x, y), loop)

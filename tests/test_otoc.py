@@ -73,6 +73,12 @@ def test_otoc_requires_quadratic_for_phase_space():
         otoc_matrix(object(), HEIS, 1.0)
 
 
+def test_matrix_otoc_rejects_non_hermitian_hamiltonian():
+    h = np.array([[0.3, 1.0], [0.0, -0.3]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        otoc_matrix(h, PAULIS, 0.7)
+
+
 def test_correspondence_iho_grid():
     ham = inverted_oscillator(1.0)
     tm = transfer_matrix(HEIS)
@@ -99,7 +105,7 @@ def test_correspondence_harmonic_any_time():
         assert check_correspondence(ru, tm, o) <= 1e-10
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(1, 2).flatmap(lambda n: st.lists(
            st.floats(min_value=-2.0, max_value=2.0),
            min_size=4 * n * n, max_size=4 * n * n)),
