@@ -427,8 +427,7 @@ def iho_response_analytic(omega: float, t: float) -> ResponseMatrix:
 
 
 def _flow_response_analytic(system: str, omega: float, t: float) -> ResponseMatrix:
-    """Closed-form response S(t)^T of the free particle, S(t) = [[1, t], [0, 1]],
-    or of the harmonic oscillator, S(t) = [[cos wt, sin wt / w], [-w sin wt, cos wt]]."""
+    """Closed-form response S(t)^T of the free particle or harmonic oscillator."""
     if system == "free":
         s = np.array([[1.0, t], [0.0, 1.0]])
     else:

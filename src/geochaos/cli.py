@@ -290,13 +290,8 @@ def _bloch_samples(path: geometry.ProtocolPath, gens, psi0: np.ndarray,
     """Bloch vectors of the state carried along a protocol path."""
     n_int = path.n_intervals
     ds = 1.0 / n_int
-    mats = gens.matrices()
-    labels = list(path.labels)
-    cols = [labels.index(g.label) if g.label in labels else None for g in gens]
-    fields = np.zeros((n_int, gens.dim, gens.dim), dtype=complex)
-    for g_i, col in enumerate(cols):
-        if col is not None:
-            fields += path.values[:, col, None, None] * mats[g_i]
+    controls = np.stack([path.control(g.label) for g in gens], axis=1)
+    fields = np.tensordot(controls, gens.matrices(), axes=(1, 0))
     steps = geometry._exp_hermitian(ds * fields)
     # products up to each interval boundary: cum[k] = A_{k-1} ... A_0
     cum = np.concatenate([np.eye(gens.dim, dtype=complex)[None],
@@ -393,24 +388,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # command line
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _parse_numbers(text: str, what: str, form: str, kinds) -> tuple:
+    """Colon-separated numbers converted by kinds, e.g. a time grid start:end:npoints."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError("time grid must be start:end:npoints")
+    if len(parts) != len(kinds):
+        raise ConfigError(f"{what} must be {form}")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        return tuple(kind(part) for kind, part in zip(kinds, parts))
     except ValueError:
-        raise ConfigError(f"bad time grid {text!r}") from None
-
-
-def _parse_window(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError("window must be t_min:t_max")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"bad window {text!r}") from None
+        raise ConfigError(f"bad {what} {text!r}") from None
 
 
 def _parse_values(text: str) -> list[float]:
@@ -499,15 +485,18 @@ def _config_from_args(args) -> ExperimentConfig:
     if hasattr(args, "z_weight"):
         params["z_weight"] = args.z_weight
     if hasattr(args, "window"):
-        params["window"] = _parse_window(args.window)
+        params["window"] = _parse_numbers(args.window, "window", "t_min:t_max",
+                                          (float, float))
     if args.experiment == "sweep":
         params = {"experiment": args.target, "param": args.param,
                   "values": _parse_values(args.values)}
     output = args.output or Path(f"geochaos-{args.experiment}")
     output = Path(os.environ.get("GEOCHAOS_OUTPUT", output))
+    grid = _parse_numbers(args.t_grid, "time grid", "start:end:npoints",
+                          (float, float, int))
     return ExperimentConfig(experiment=args.experiment, parameters=params,
-                            time_grid=_parse_grid(args.t_grid),
-                            output=output, seed=args.seed, jobs=args.jobs)
+                            time_grid=grid, output=output, seed=args.seed,
+                            jobs=args.jobs)
 
 
 def main(argv=None) -> int:

@@ -82,11 +82,10 @@ class Generator:
 
     @classmethod
     def from_matrix(cls, label: str, matrix, *, require_hermitian: bool = True) -> "Generator":
-        m = np.asarray(matrix, dtype=complex)
-        if require_hermitian and m.ndim == 2 and m.shape[0] == m.shape[1]:
-            if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError(f"generator {label!r}: matrix is not Hermitian")
-        return cls(label=label, matrix=m)
+        g = cls(label=label, matrix=matrix)
+        if require_hermitian and not g.is_hermitian():
+            raise ValueError(f"generator {label!r}: matrix is not Hermitian")
+        return g
 
     @classmethod
     def from_phase_space(cls, label: str, a, b, c: float = 0.0) -> "Generator":
@@ -219,33 +218,37 @@ class GeneratorSet:
 
     @cached_property
     def _costed_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """The costed matrices (n, d, d) with their trace parts dropped, since
-        endpoints compare modulo global phase, and the pseudo-inverse of their
-        real Gram matrix: an identity multiple among them gets no component."""
+        """The costed matrices (n, d, d) less their trace parts, since endpoints
+        compare modulo global phase, and the inverse of their real Gram matrix."""
         d = self.dim
         mats = np.stack([self.generators[i].matrix for i in self.costed_indices()])
         basis = mats - np.trace(mats, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
         basis.setflags(write=False)
-        return basis, np.linalg.pinv(np.einsum("iab,jab->ij", basis.conj(), basis).real)
+        gram = np.einsum("iab,jab->ij", basis.conj(), basis).real
+        if np.linalg.matrix_rank(gram) < len(gram):
+            raise ValueError("costed generators are linearly dependent modulo the "
+                             "identity (an identity must be marked by identity_index)")
+        return basis, np.linalg.inv(gram)
 
     def _coordinates(self, x: np.ndarray) -> np.ndarray:
         """Components (..., n) along the costed basis of Hermitian x (..., d, d)."""
         basis, gram_inv = self._costed_basis
         n, d = basis.shape[:2]
         flat = x.reshape(*x.shape[:-2], d * d)
-        return (flat @ basis.conj().reshape(n, d * d).T).real @ gram_inv
+        overlaps = (flat @ basis.conj().reshape(n, d * d).T).real
+        return overlaps @ gram_inv
 
-    def _span_coordinates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_coordinates`` of x, and whether they rebuild each matrix modulo the
-        identity within a relative Frobenius misfit of ``_SPAN_TOL``."""
-        basis, _ = self._costed_basis
-        n, d = basis.shape[:2]
-        c = self._coordinates(x)
-        flat = x.reshape(*x.shape[:-2], d * d)
-        traceless = flat - (np.trace(x, axis1=-2, axis2=-1) / d)[..., None] * np.eye(d).ravel()
-        misfit = traceless - c @ basis.reshape(n, d * d)
-        return c, (np.linalg.norm(misfit, axis=-1)
-                   <= _SPAN_TOL * np.linalg.norm(traceless, axis=-1))
+    def _span_coordinates(self, x: np.ndarray, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+        """``_coordinates`` of the traceless part of x, and whether they rebuild
+        it to ``_SPAN_TOL`` times the larger of its norm and ``scale``, the
+        size of the inputs x was made from."""
+        d = self.dim
+        traceless = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / d * np.eye(d)
+        c = self._coordinates(traceless)
+        rebuilt = np.einsum("...n,nab->...ab", c, self._costed_basis[0])
+        misfit = np.linalg.norm(traceless - rebuilt, axis=(-2, -1))
+        size = np.maximum(np.linalg.norm(traceless, axis=(-2, -1)), scale)
+        return c, misfit <= _SPAN_TOL * size
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind, "labels": list(self.labels)}

@@ -32,6 +32,7 @@ from .generators import (
     DisplacementVector,
     GeneratorSet,
     _commutator_table,
+    heisenberg_generators,
 )
 
 __all__ = [
@@ -296,25 +297,21 @@ def heisenberg_complexity(d: DisplacementVector, weights: CostWeights,
     phase component is free.
     """
     n = d.n_modes
-    if gens is not None:
-        if gens.kind != PHASE_SPACE or gens.n_modes != n:
-            raise ValueError("generator set does not match the displacement")
-        q_labels = list(gens.labels[:n])
-        p_labels = list(gens.labels[n:2 * n])
-        id_label = (gens.generators[gens.identity_index].label
-                    if gens.identity_index is not None else None)
-    else:
-        q_labels = ["x"] if n == 1 else [f"x{i + 1}" for i in range(n)]
-        p_labels = ["p"] if n == 1 else [f"p{i + 1}" for i in range(n)]
-        id_label = "id"
-
+    if gens is None:
+        gens = heisenberg_generators(n)
+    if gens.kind != PHASE_SPACE or gens.n_modes != n:
+        raise ValueError("generator set does not match the displacement")
+    q_labels = list(gens.labels[:n])
+    p_labels = list(gens.labels[n:2 * n])
+    id_label = (gens.generators[gens.identity_index].label
+                if gens.identity_index is not None else None)
     labels = q_labels + p_labels + ([id_label] if id_label is not None else [])
     coeffs = list(d.a) + list(d.b) + ([d.phase] if id_label is not None else [])
     partials = {lab: float(c) for lab, c in zip(labels, coeffs)}
     if id_label is not None and weights.weights.get(id_label, 0.0) != 0.0:
         raise ValueError("the identity direction must carry zero cost")
-    wq = np.array([weights.weight(l) for l in q_labels])
-    wp = np.array([weights.weight(l) for l in p_labels])
+    wq = weights.vector(q_labels)
+    wp = weights.vector(p_labels)
     length = math.sqrt(float(wq @ d.a**2 + wp @ d.b**2))
     path = ProtocolPath.constant(labels, coeffs)
     return GeodesicResult(path=path, length=length, partials=partials,
@@ -332,8 +329,11 @@ def _structure_constants(gens: GeneratorSet) -> np.ndarray:
     Raises if they do not close under commutation.
     """
     mats = gens._costed_basis[0]
-    # -i [M_a, M_c] is Hermitian, and in the span if the set closes
-    g, closed = gens._span_coordinates(-1j * _commutator_table(mats, mats))
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    # -i [M_a, M_c] is Hermitian and, if the set closes, in the span up to
+    # rounding of the size |M_a| |M_c|
+    g, closed = gens._span_coordinates(-1j * _commutator_table(mats, mats),
+                                       scale=np.outer(norms, norms))
     if not closed.all():
         raise ValueError("generator set is not closed under commutation; "
                          "the geodesic flow is not defined on its span")
@@ -502,7 +502,7 @@ class _MatrixProblem:
         self.gens = gens
         self.labels = list(gens.costed_labels())
         self.mats = gens._costed_basis[0]
-        self.w = np.array([weights.weight(l) for l in self.labels])
+        self.w = weights.vector(self.labels)
         self.g = _structure_constants(gens)
         self.dim = gens.dim
 
@@ -514,7 +514,8 @@ class _MatrixProblem:
 
     def footprint(self, u: np.ndarray) -> np.ndarray:
         """Phase-free footprint of u (..., d, d): components of u M_a u^dag."""
-        moved = u[..., None, :, :] @ self.mats @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+        u = u[..., None, :, :]
+        moved = u @ self.mats @ u.conj().swapaxes(-1, -2)
         return self.gens._coordinates(moved)
 
     def weighted_norm(self, v: np.ndarray) -> float:
@@ -528,10 +529,11 @@ class _MatrixProblem:
             u0 = u * (abs(tr) / tr)
         else:
             u0 = u
-        # Hermitian targets: u0 * phase = exp(-i herm)
-        herms = np.stack([1j * logm(u0 * np.exp(2j * np.pi * extra / d))
-                          for extra in range(d)])
-        comps, inside = self.gens._span_coordinates(herms)
+        herms = []
+        for extra in range(d):
+            phase = np.exp(2j * np.pi * extra / d)
+            herms.append(1j * logm(u0 * phase))  # u0 * phase = exp(-i herm)
+        comps, inside = self.gens._span_coordinates(np.stack(herms))
         return list(comps[inside])
 
     # -- start generation ---------------------------------------------------

@@ -143,7 +143,8 @@ def unitary_response_matrix(hamiltonian, gens: GeneratorSet,
 def _adjoint_evolution(hamiltonian, gens: GeneratorSet, t: float):
     """U_t, and Ad(U_t): row K holds the components of U_t M_K U_t^dag."""
     u = _evolution(hamiltonian, gens, t)
-    rows, inside = gens._span_coordinates(u @ gens._costed_basis[0] @ u.conj().T)
+    moved = u @ gens._costed_basis[0] @ u.conj().T
+    rows, inside = gens._span_coordinates(moved)
     if not inside.all():
         label = gens.costed_labels()[int(np.argmin(inside))]
         raise ValueError(f"U_t {label} U_t^dag leaves the span of the costed "

@@ -340,6 +340,31 @@ def test_open_generator_set_rejected():
                            CostWeights({"sigma_x": 1.0, "sigma_y": 1.0}), LIGHT)
 
 
+@pytest.mark.parametrize("size", [1.0, 1e4])
+def test_set_closed_up_to_rounding_is_accepted(size):
+    # conjugating the local Paulis by V = (H x I) CNOT leaves float entries,
+    # so commutators across the two sites vanish only up to rounding, of the
+    # size of the generators squared; the structure constants stay those of
+    # the local Paulis
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    v = np.kron(hadamard, np.eye(2)) @ np.eye(4)[[0, 1, 3, 2]]
+    plain = GeneratorSet(tuple(Generator.from_matrix(g.label, size * g.matrix)
+                               for g in local_paulis(2)))
+    moved = GeneratorSet(tuple(Generator.from_matrix(g.label, v @ g.matrix @ v.T)
+                               for g in plain))
+    g = geometry._structure_constants(moved)
+    assert np.abs(g - geometry._structure_constants(plain)).max() <= 1e-12 * size
+
+
+@pytest.mark.parametrize("angle", [1e-6, 1e-9])
+def test_log_components_keep_near_identity_principal_log(angle):
+    # the principal log of a near-identity target is tiny, so its rounding
+    # misfit is large next to its own norm but not next to 1
+    problem = geometry._MatrixProblem(PAULIS, ISO, LIGHT)
+    comps = problem.log_components(expm(-1j * angle * SX))
+    assert np.abs(comps[0] - [angle, 0.0, 0.0]).max() <= 1e-15
+
+
 # light profiles for d = 4 and d = 8 local-Pauli targets
 MULTI_QUBIT_SHOOT = SolverConfig(n_starts=20, n_refine=3, ode_steps=120, seed=0,
                                  direct_fallback="never", max_iters=40)

@@ -173,18 +173,6 @@ def test_matrix_response_ignores_trace_parts():
     assert np.abs(r.entries - pred).max() <= 1e-12
 
 
-def test_matrix_response_unmarked_identity_has_no_component():
-    # an identity multiple left among the costed generators only rephases,
-    # so its row and column of Ad(U_t) vanish
-    mats = [g.matrix for g in PAULIS]
-    gens = GeneratorSet(tuple(PAULIS.generators)
-                        + (Generator.from_matrix("one", np.eye(2)),))
-    h = 0.4 * mats[0] + 0.2 * mats[1] - 0.7 * mats[2]
-    r = unitary_response_matrix(h, gens, 0.6).entries
-    assert np.abs(r[:3, :3] - adjoint_oracle(expm(-1j * h * 0.6))).max() <= 1e-12
-    assert np.abs(r[3]).max() <= 1e-15 and np.abs(r[:, 3]).max() <= 1e-15
-
-
 def local_pauli_generators():
     mats = [g.matrix for g in PAULIS]
     gens = [Generator.from_matrix(f"{p}{site + 1}",
