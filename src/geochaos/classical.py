@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .generators import DisplacementVector, _quadratic_flow
+from .generators import DisplacementVector, _quadratic_flow, symplectic_form
 from .response import LyapunovEstimate, ResponseMatrix
 
 __all__ = [
@@ -43,14 +43,6 @@ __all__ = [
     "hamiltonian_from_name",
     "symplectic_form",
 ]
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """The standard form J with dz/dt = J grad H, z = (q, p)."""
-    j = np.zeros((2 * n_modes, 2 * n_modes))
-    j[:n_modes, n_modes:] = np.eye(n_modes)
-    j[n_modes:, :n_modes] = -np.eye(n_modes)
-    return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +168,6 @@ class IntegratorConfig:
     """Fixed-step fourth-order splitting integrator settings."""
 
     step: float = 1e-3
-    energy_tol: float = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,17 +188,9 @@ class PhaseSpaceFlow:
     def final_jacobian(self) -> np.ndarray:
         return self.jacobians[-1]
 
-    def to_csv(self, path) -> None:
-        """Dump t, coordinates and row-major Jacobian entries per sample."""
-        n = self.points.shape[1]
-        header = (["t"] + [f"z{i + 1}" for i in range(n)]
-                  + [f"j{i + 1}{k + 1}" for i in range(n) for k in range(n)])
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, z, jac in zip(self.times, self.points, self.jacobians):
-                row = [t, *z, *jac.ravel()]
-                fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
 
+# relative energy drift above which a splitting run is rejected
+_ENERGY_TOL = 1e-6
 
 # Forest-Ruth splitting coefficients (drifts interleaved with kicks)
 _FR_GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -257,7 +240,7 @@ def _integrate_separable(h: SeparableHamiltonian, x0: np.ndarray, t: float,
             jacs.append(jac.copy())
             taken.append(target)
         drift = abs(h.value(q, p) - e0) / max(1.0, abs(e0))
-    if not np.isfinite(drift) or drift > cfg.energy_tol:
+    if not np.isfinite(drift) or drift > _ENERGY_TOL:
         raise RuntimeError(f"energy drift {drift:.2e} beyond tolerance; "
                            f"reduce the integrator step")
     return np.asarray(taken), np.stack(points), np.stack(jacs)
@@ -412,37 +395,30 @@ def evolve_wigner_gaussian(state: GaussianWignerState,
 
 
 # ---------------------------------------------------------------------------
-# closed-form inverted-oscillator oracles
+# closed-form oscillator oracles
+
+
+def _oscillator_flow(system: str, omega: float, t: float) -> np.ndarray:
+    """Closed-form flow map S(t) of the "iho", "harmonic" or "free" system."""
+    if system == "free":
+        return np.array([[1.0, t], [0.0, 1.0]])
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if system == "iho":
+        ch, sh = math.cosh(omega * t), math.sinh(omega * t)
+        return np.array([[ch, sh / omega], [omega * sh, ch]])
+    c, sn = math.cos(omega * t), math.sin(omega * t)
+    return np.array([[c, sn / omega], [-omega * sn, c]])
 
 
 def iho_response_analytic(omega: float, t: float) -> ResponseMatrix:
-    """Closed-form hyperbolic response matrix of the inverted oscillator."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    ch = math.cosh(omega * t)
-    sh = math.sinh(omega * t)
-    entries = np.array([[ch, omega * sh], [sh / omega, ch]])
-    return ResponseMatrix(flavor="unitary", entries=entries, time=float(t),
-                          labels=("x", "p"))
-
-
-def _flow_response_analytic(system: str, omega: float, t: float) -> ResponseMatrix:
-    """Closed-form response S(t)^T of the free particle or harmonic oscillator."""
-    if system == "free":
-        s = np.array([[1.0, t], [0.0, 1.0]])
-    else:
-        c, sn = math.cos(omega * t), math.sin(omega * t)
-        s = np.array([[c, sn / omega], [-omega * sn, c]])
-    return ResponseMatrix(flavor="unitary", entries=s.T, time=float(t), labels=("x", "p"))
+    """Closed-form hyperbolic response matrix S(t)^T of the inverted oscillator."""
+    return ResponseMatrix(flavor="unitary", entries=_oscillator_flow("iho", omega, t).T,
+                          time=float(t), labels=("x", "p"))
 
 
 def iho_displacement_analytic(eps1: float, eps2: float, omega: float,
                               t: float) -> DisplacementVector:
-    """Closed-form transported displacement for the inverted oscillator."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    ch = math.cosh(omega * t)
-    sh = math.sinh(omega * t)
-    a = eps1 * ch + eps2 * sh / omega
-    b = eps1 * sh * omega + eps2 * ch
+    """Closed-form transported displacement S(t) (eps1, eps2) for the inverted oscillator."""
+    a, b = _oscillator_flow("iho", omega, t) @ np.array([eps1, eps2])
     return DisplacementVector(np.array([a]), np.array([b]))

@@ -5,29 +5,34 @@ Each experiment writes CSV series (header row, 15 significant digits), a
 optional plot-sample files.  Reports are deterministic for a given config
 and seed: no timestamps, sorted keys.
 
+Every experiment declares its parameters once, in ``EXPERIMENTS``: a default
+and a check that converts a raw value (from JSON or a command-line flag)
+and rejects a bad one.  ``ExperimentConfig.validate`` applies the table, so
+the runners receive checked values.
+
 Exit codes: 0 success, 1 pipeline failure, 2 invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import classical, geometry, otoc, response
 from .generators import heisenberg_generators, pauli_generators
 
-EXPERIMENTS = ("iho-response", "lyapunov", "otoc-check", "qubit-geodesic",
-               "state-response", "sweep")
 # the phase-space pipelines need an exact flow_matrix(t)
 QUADRATIC_SYSTEMS = ("iho", "harmonic", "free")
+# the keys a JSON config file may hold
+CONFIG_KEYS = ("experiment", "parameters", "time_grid", "output", "seed")
 
 
 class ConfigError(ValueError):
@@ -41,38 +46,26 @@ class ExperimentConfig:
     time_grid: tuple[float, float, int] = (0.0, 5.0, 11)
     output: Path = Path("geochaos-out")
     seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # unused: sweeps run serially; kept for callers that pass jobs=
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """Check the config; return the experiment's checked parameters.
+
+        The time grid is converted in place.  A sweep checks every point
+        against its target's table here, so a bad point fails before any
+        point runs.
+        """
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         try:
-            t0, t1, n = self.time_grid
-            ordered = t1 > t0 >= 0.0
-        except (TypeError, ValueError):
-            raise ConfigError("time grid must be numbers [start, end, npoints]") from None
-        if not isinstance(n, int):
-            raise ConfigError(f"time grid point count must be an integer, got {n!r}")
-        if not ordered:
-            raise ConfigError("time grid must satisfy t_end > t_start >= 0")
-        if n < 2:
-            raise ConfigError("time grid needs at least 2 points")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if not isinstance(self.parameters, dict):
-            raise ConfigError("parameters must be a JSON object")
-        if self.experiment in ("lyapunov", "state-response"):
-            systems = [self.parameters.get("system", "iho")]
-        elif self.experiment == "otoc-check":
-            systems = self.parameters.get("systems", QUADRATIC_SYSTEMS)
-            if not isinstance(systems, (list, tuple)):
-                raise ConfigError("otoc-check systems must be a list of names")
-        else:
-            systems = []
-        for name in systems:
-            if name not in QUADRATIC_SYSTEMS:
-                raise ConfigError(f"{self.experiment} needs a quadratic system, "
-                                  f"one of {list(QUADRATIC_SYSTEMS)}; got {name!r}")
+            self.time_grid = _time_grid(self.time_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"time grid: {exc}") from None
+        params = _check_parameters(self.experiment, self.parameters)
+        if self.experiment == "sweep":
+            for point in _sweep_points(params):
+                _check_parameters(params["experiment"], point)
+        return params
 
     def times(self) -> np.ndarray:
         t0, t1, n = self.time_grid
@@ -116,13 +109,121 @@ def _check(name: str, value: float, tol: float, larger_is_pass: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
+# parameter checks: each converts a raw value and raises ValueError or
+# TypeError, with the reason, when the value is bad
+
+
+def _open_interval(low: float, high: float) -> Callable[[Any], float]:
+    def check(value) -> float:
+        x = float(value)
+        if not low < x < high:
+            raise ValueError(f"must lie in ({low:g}, {high:g}), got {value!r}")
+        return x
+    return check
+
+
+_POSITIVE = _open_interval(0.0, math.inf)
+
+
+def _time_grid(value) -> tuple[float, float, int]:
+    """A time grid start:end:npoints (flag text) or three numbers."""
+    parts = value.split(":") if isinstance(value, str) else value
+    t0, t1, n = [float(v) for v in parts]
+    if not (math.inf > t1 > t0 >= 0.0 and n.is_integer() and n >= 2):
+        raise ValueError(f"must be [start, end, npoints] with inf > end > start >= 0 "
+                         f"and an integer npoints >= 2, got {value!r}")
+    return t0, t1, int(n)
+
+
+def _window(value) -> tuple[float, float]:
+    """A fit window t_min:t_max (flag text) or a pair of numbers."""
+    parts = value.split(":") if isinstance(value, str) else value
+    bounds = [float(v) for v in parts]
+    if len(bounds) != 2 or not math.inf > bounds[1] > bounds[0] >= 0.0:
+        raise ValueError(f"must be [t_min, t_max] with inf > t_max > t_min >= 0, "
+                         f"got {value!r}")
+    return bounds[0], bounds[1]
+
+
+def _system(value) -> str:
+    if value not in QUADRATIC_SYSTEMS:
+        raise ValueError(f"needs a quadratic system, one of {list(QUADRATIC_SYSTEMS)}; "
+                         f"got {value!r}")
+    return value
+
+
+def _systems(value) -> list[str]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise TypeError(f"must be a non-empty list of system names, got {value!r}")
+    return [_system(v) for v in value]
+
+
+def _sample_count(value) -> int:
+    x = float(value)
+    if not (x.is_integer() and x >= 2):
+        raise ValueError(f"must be an integer >= 2, got {value!r}")
+    return int(x)
+
+
+def _sweep_target(value) -> str:
+    if value == "sweep" or value not in EXPERIMENTS:
+        raise ValueError(f"must name an experiment other than sweep, got {value!r}")
+    return value
+
+
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must name a parameter of the swept experiment, got {value!r}")
+    return value
+
+
+def _values(value) -> list:
+    """Comma-separated numbers (flag text) or a non-empty list."""
+    if isinstance(value, str):
+        value = [float(v) for v in value.split(",")]
+    if not isinstance(value, (list, tuple)) or not value:
+        raise TypeError(f"must be a non-empty list, got {value!r}")
+    return list(value)
+
+
+class Param(NamedTuple):
+    """One experiment parameter; ``flag`` is its flag's argparse type, or
+    None for a parameter set only from a config file."""
+
+    default: Any
+    check: Callable[[Any], Any]
+    flag: Callable[[str], Any] | None = None
+
+
+def _check_parameters(experiment: str, raw) -> dict:
+    """Every parameter of the experiment, defaulted and checked."""
+    if not isinstance(raw, dict):
+        raise ConfigError("parameters must be a JSON object")
+    table = EXPERIMENTS[experiment].parameters
+    for name in raw:
+        if name not in table:
+            raise ConfigError(f"unknown {experiment} parameter {name!r}; "
+                              f"expected one of {list(table)}")
+    checked = {}
+    for name, param in table.items():
+        try:
+            checked[name] = param.check(raw.get(name, param.default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{experiment} parameter {name!r}: {exc}") from None
+    return checked
+
+
+def _sweep_points(params: dict) -> list[dict]:
+    """The target's raw parameters at each sweep value."""
+    return [{**params["base"], params["param"]: v} for v in params["values"]]
+
+
+# ---------------------------------------------------------------------------
 # individual experiments
 
 
-def _run_iho_response(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
-    omega = float(cfg.parameters.get("omega", 1.0))
-    if omega <= 0:
-        raise ConfigError("omega must be positive")
+def _run_iho_response(cfg: ExperimentConfig, p: dict, out: Path) -> ExperimentReport:
+    omega = p["omega"]
     gens = heisenberg_generators()
     ham = classical.inverted_oscillator(omega)
     rows = []
@@ -141,17 +242,10 @@ def _run_iho_response(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
                             cfg.seed, [csv.name], checks)
 
 
-def _run_lyapunov(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
-    system = cfg.parameters.get("system", "iho")
-    omega = float(cfg.parameters.get("omega", 1.0))
-    window = cfg.parameters.get("window", (5.0, 10.0))
-    if omega <= 0:
-        raise ConfigError("omega must be positive")
+def _run_lyapunov(cfg: ExperimentConfig, p: dict, out: Path) -> ExperimentReport:
+    system, omega, (t0, t1) = p["system"], p["omega"], p["window"]
     ham = classical.hamiltonian_from_name(system, omega=omega)
     gens = heisenberg_generators()
-    t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0 >= 0.0:
-        raise ConfigError("window must satisfy t_max > t_min >= 0")
     times = np.linspace(t0, t1, max(cfg.time_grid[2], 11))
     spectra = [response.response_spectrum(
         response.unitary_response_matrix(ham, gens, float(t))) for t in times]
@@ -164,7 +258,10 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     traj = classical.evolve_flow(ham, np.array([1.0, 0.5]), t1,
                                  n_samples=max(cfg.time_grid[2], 11))
     traj_csv = out / "trajectory.csv"
-    traj.to_csv(traj_csv)
+    # t, coordinates and row-major Jacobian entries per sample
+    _write_csv(traj_csv, ["t", "z1", "z2", "j11", "j12", "j21", "j22"],
+               [[t, *z, *jac.ravel()]
+                for t, z, jac in zip(traj.times, traj.points, traj.jacobians)])
     if system == "iho":
         # the hyperbolic window measures the t -> infinity rate
         checks = [_check("response_exponents_vs_expected",
@@ -174,8 +271,10 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     else:
         # S(t) grows like t (free) or oscillates (harmonic), so a finite
         # window does not fit the rate 0: compare with the same fit of the
-        # closed-form S(t)
-        closed = [classical._flow_response_analytic(system, omega, float(t)) for t in times]
+        # closed-form response S(t)^T
+        closed = [response.ResponseMatrix(
+            flavor="unitary", entries=classical._oscillator_flow(system, omega, float(t)).T,
+            time=float(t), labels=("x", "p")) for t in times]
         expected = response.lyapunov_spectrum(
             [response.response_spectrum(r) for r in closed], (t0, t1)).lambdas
         checks = [_check("response_exponents_vs_expected",
@@ -190,9 +289,8 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
                             cfg.seed, [csv.name, traj_csv.name], checks)
 
 
-def _run_otoc_check(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
-    omega = float(cfg.parameters.get("omega", 1.0))
-    systems = cfg.parameters.get("systems", QUADRATIC_SYSTEMS)
+def _run_otoc_check(cfg: ExperimentConfig, p: dict, out: Path) -> ExperimentReport:
+    omega, systems = p["omega"], p["systems"]
     gens = heisenberg_generators()
     rows = []
     worst = 0.0
@@ -220,12 +318,11 @@ def _run_otoc_check(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
         _check("correspondence_residual", worst, 1e-10),
         _check("averaged_identity_gap", worst_avg, 1e-10),
     ]
-    return ExperimentReport(cfg.experiment,
-                            {"omega": omega, "systems": list(systems)},
+    return ExperimentReport(cfg.experiment, {"omega": omega, "systems": systems},
                             cfg.seed, [csv.name], checks)
 
 
-def _run_qubit_geodesic(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
+def _run_qubit_geodesic(cfg: ExperimentConfig, p: dict, out: Path) -> ExperimentReport:
     """Bloch-sampled minimal protocols between two fixed near-antipodal states.
 
     Under isotropic weights the optimal trace is a great circle; penalising
@@ -233,16 +330,7 @@ def _run_qubit_geodesic(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
     enough that the in-plane z rotation is no longer the shortest path.
     """
     gens = pauli_generators()
-    angle = float(cfg.parameters.get("separation", 2.6))
-    penalty = float(cfg.parameters.get("z_weight", 1.5))
-    n_samples = int(cfg.parameters.get("n_samples", 65))
-    # at 0 and pi the great circle through the two states is not unique
-    if not 0.0 < angle < math.pi:
-        raise ConfigError("separation must lie in (0, pi)")
-    if not 0.0 < penalty < math.inf:
-        raise ConfigError("z_weight must be finite and > 0")
-    if n_samples < 2:
-        raise ConfigError("n_samples must be >= 2")
+    angle, penalty, n_samples = p["separation"], p["z_weight"], p["n_samples"]
     # two equatorial Bloch vectors an `angle` apart: the direct rotation
     # between them is z-generated, which the weighted metric penalises
     psi_a = np.array([1.0, 1.0]) / math.sqrt(2.0)  # +x axis
@@ -303,9 +391,8 @@ def _bloch_samples(path: geometry.ProtocolPath, gens, psi0: np.ndarray,
     return np.array([geometry.bloch_vector(psi) for psi in states])
 
 
-def _run_state_response(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
-    omega = float(cfg.parameters.get("omega", 1.0))
-    system = cfg.parameters.get("system", "iho")
+def _run_state_response(cfg: ExperimentConfig, p: dict, out: Path) -> ExperimentReport:
+    system, omega = p["system"], p["omega"]
     ham = classical.hamiltonian_from_name(system, omega=omega)
     gens = heisenberg_generators()
     state = classical.GaussianWignerState.vacuum()
@@ -324,60 +411,71 @@ def _run_state_response(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
                             cfg.seed, [csv.name], checks)
 
 
-def _run_sweep(cfg: ExperimentConfig, out: Path) -> ExperimentReport:
-    target = cfg.parameters.get("experiment")
-    param = cfg.parameters.get("param")
-    values = cfg.parameters.get("values")
-    if target in (None, "sweep") or target not in EXPERIMENTS:
-        raise ConfigError("sweep needs a valid target experiment")
-    if not param or not values:
-        raise ConfigError("sweep needs 'param' and a list of 'values'")
-
-    def run_point(i_v):
-        i, v = i_v
-        sub_params = dict(cfg.parameters.get("base", {}))
-        sub_params[param] = v
-        sub = ExperimentConfig(experiment=target, parameters=sub_params,
-                               time_grid=cfg.time_grid,
-                               output=out / f"point_{i:03d}", seed=cfg.seed)
-        return i, run_experiment(sub)
-
-    points = list(enumerate(values))
-    if cfg.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(p) for p in points]
-    results.sort(key=lambda r: r[0])
+def _run_sweep(cfg: ExperimentConfig, p: dict, out: Path) -> ExperimentReport:
+    """Run the target once per value, one point after another."""
     checks = []
     outputs = []
-    for i, rep in results:
+    for i, (value, point) in enumerate(zip(p["values"], _sweep_points(p))):
+        rep = run_experiment(ExperimentConfig(
+            experiment=p["experiment"], parameters=point, time_grid=cfg.time_grid,
+            output=out / f"point_{i:03d}", seed=cfg.seed))
         outputs.append(f"point_{i:03d}/report.json")
-        checks.append({"name": f"point_{i:03d}[{param}={values[i]}]",
+        checks.append({"name": f"point_{i:03d}[{p['param']}={value}]",
                        "value": 0.0 if rep.passed else 1.0, "tolerance": 0.0,
                        "passed": rep.passed})
     return ExperimentReport(cfg.experiment,
-                            {"experiment": target, "param": param,
-                             "values": list(values)},
+                            {"experiment": p["experiment"], "param": p["param"],
+                             "values": p["values"]},
                             cfg.seed, outputs, checks)
 
 
-_RUNNERS = {
-    "iho-response": _run_iho_response,
-    "lyapunov": _run_lyapunov,
-    "otoc-check": _run_otoc_check,
-    "qubit-geodesic": _run_qubit_geodesic,
-    "state-response": _run_state_response,
-    "sweep": _run_sweep,
+class Experiment(NamedTuple):
+    run: Callable[[ExperimentConfig, dict, Path], ExperimentReport]
+    help: str
+    parameters: dict[str, Param]
+
+
+# the one table of experiments, with each one's parameters
+EXPERIMENTS: dict[str, Experiment] = {
+    "iho-response": Experiment(
+        _run_iho_response, "hyperbolic response matrix vs the analytic form",
+        {"omega": Param(1.0, _POSITIVE, float)}),
+    "lyapunov": Experiment(
+        _run_lyapunov, "exponents from the response spectrum + benchmark",
+        {"system": Param("iho", _system, str),
+         "omega": Param(1.0, _POSITIVE, float),
+         "window": Param((5.0, 10.0), _window, str)}),
+    "otoc-check": Experiment(
+        _run_otoc_check, "commutator-response correspondence residuals",
+        {"omega": Param(1.0, _POSITIVE, float),
+         "systems": Param(QUADRATIC_SYSTEMS, _systems)}),
+    # at separation 0 and pi the great circle through the two states is
+    # not unique
+    "qubit-geodesic": Experiment(
+        _run_qubit_geodesic, "Bloch samples of weighted qubit geodesics",
+        {"separation": Param(2.6, _open_interval(0.0, math.pi), float),
+         "z_weight": Param(1.5, _POSITIVE, float),
+         "n_samples": Param(65, _sample_count)}),
+    "state-response": Experiment(
+        _run_state_response, "Gaussian state response vs the tangent map",
+        {"system": Param("iho", _system, str),
+         "omega": Param(1.0, _POSITIVE, float)}),
+    # each point runs the target with base plus {param: value}
+    "sweep": Experiment(
+        _run_sweep, "run an experiment over a parameter list",
+        {"experiment": Param(None, _sweep_target, str),
+         "param": Param(None, _name, str),
+         "values": Param(None, _values, str),
+         "base": Param({}, dict)}),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute a named experiment, writing data files and report.json."""
-    cfg.validate()
+    params = cfg.validate()
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    report = _RUNNERS[cfg.experiment](cfg, out)
+    report = EXPERIMENTS[cfg.experiment].run(cfg, params, out)
     with (out / "report.json").open("w") as fh:
         json.dump(report.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -388,24 +486,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # command line
 
 
-def _parse_numbers(text: str, what: str, form: str, kinds) -> tuple:
-    """Colon-separated numbers converted by kinds, e.g. a time grid start:end:npoints."""
-    parts = text.split(":")
-    if len(parts) != len(kinds):
-        raise ConfigError(f"{what} must be {form}")
-    try:
-        return tuple(kind(part) for kind, part in zip(kinds, parts))
-    except ValueError:
-        raise ConfigError(f"bad {what} {text!r}") from None
-
-
-def _parse_values(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad sweep values {text!r}") from None
-
-
 def _config_from_file(path: Path) -> ExperimentConfig:
     try:
         doc = json.loads(path.read_text())
@@ -413,17 +493,17 @@ def _config_from_file(path: Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {str(path)!r} must hold a JSON object")
+    for key in doc:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r} in {str(path)!r}; "
+                              f"expected some of {list(CONFIG_KEYS)}")
     try:
-        return ExperimentConfig(
-            experiment=doc.get("experiment", ""),
-            parameters=doc.get("parameters", {}),
-            time_grid=tuple(doc.get("time_grid", (0.0, 5.0, 11))),
-            output=Path(doc.get("output", "geochaos-out")),
-            seed=int(doc.get("seed", 0)),
-            jobs=int(doc.get("jobs", 1)),
-        )
+        cfg = ExperimentConfig(**doc)
+        cfg.output = Path(cfg.output)
+        cfg.seed = int(cfg.seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {str(path)!r}: {exc}") from None
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,69 +514,36 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON experiment config (overrides other flags)")
     sub = parser.add_subparsers(dest="experiment")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", type=Path, default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--t-grid", type=str, default="0:5:11",
-                        help="time grid start:end:npoints")
-
-    p = sub.add_parser("iho-response", parents=[common],
-                       help="hyperbolic response matrix vs the analytic form")
-    p.add_argument("--omega", type=float, default=1.0)
-
-    p = sub.add_parser("lyapunov", parents=[common],
-                       help="exponents from the response spectrum + benchmark")
-    p.add_argument("--system", choices=QUADRATIC_SYSTEMS, default="iho")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--window", type=str, default="5:10")
-
-    p = sub.add_parser("otoc-check", parents=[common],
-                       help="commutator-response correspondence residuals")
-    p.add_argument("--omega", type=float, default=1.0)
-
-    p = sub.add_parser("qubit-geodesic", parents=[common],
-                       help="Bloch samples of weighted qubit geodesics")
-    p.add_argument("--separation", type=float, default=2.6)
-    p.add_argument("--z-weight", type=float, default=1.5)
-
-    p = sub.add_parser("state-response", parents=[common],
-                       help="Gaussian state response vs the tangent map")
-    p.add_argument("--system", choices=QUADRATIC_SYSTEMS, default="iho")
-    p.add_argument("--omega", type=float, default=1.0)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run an experiment over a parameter list")
-    p.add_argument("--experiment", dest="target", required=True)
-    p.add_argument("--param", required=True)
-    p.add_argument("--values", required=True,
-                   help="comma-separated parameter values")
+    common.add_argument("--output", type=Path)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--t-grid", help="time grid start:end:npoints")
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, parents=[common], help=experiment.help)
+        # the sweep's --experiment flag overwrites args.experiment
+        p.set_defaults(command=name)
+        for key, param in experiment.parameters.items():
+            if param.flag is not None:
+                p.add_argument("--" + key.replace("_", "-"), type=param.flag)
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config is not None:
         return _config_from_file(Path(args.config))
-    if not args.experiment:
+    command = getattr(args, "command", None)
+    if command is None:
         raise ConfigError("no experiment given (see --help)")
-    params: dict = {}
-    for key in ("omega", "system", "separation"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if hasattr(args, "z_weight"):
-        params["z_weight"] = args.z_weight
-    if hasattr(args, "window"):
-        params["window"] = _parse_numbers(args.window, "window", "t_min:t_max",
-                                          (float, float))
-    if args.experiment == "sweep":
-        params = {"experiment": args.target, "param": args.param,
-                  "values": _parse_values(args.values)}
-    output = args.output or Path(f"geochaos-{args.experiment}")
-    output = Path(os.environ.get("GEOCHAOS_OUTPUT", output))
-    grid = _parse_numbers(args.t_grid, "time grid", "start:end:npoints",
-                          (float, float, int))
-    return ExperimentConfig(experiment=args.experiment, parameters=params,
-                            time_grid=grid, output=output, seed=args.seed,
-                            jobs=args.jobs)
+    flags = vars(args)
+    params = {key: flags[key] for key in EXPERIMENTS[command].parameters
+              if flags.get(key) is not None}
+    output = args.output or Path(f"geochaos-{command}")
+    cfg = ExperimentConfig(experiment=command, parameters=params,
+                           output=Path(os.environ.get("GEOCHAOS_OUTPUT", output)))
+    if args.t_grid is not None:
+        cfg.time_grid = args.t_grid
+    if args.seed is not None:
+        cfg.seed = args.seed
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -504,11 +551,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        cfg.validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,6 +48,14 @@ class QuadraticFlow(Protocol):
     def flow_matrix(self, t: float) -> np.ndarray: ...
 
 
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """The standard form J with dz/dt = J grad H, z = (q, p)."""
+    j = np.zeros((2 * n_modes, 2 * n_modes))
+    j[:n_modes, n_modes:] = np.eye(n_modes)
+    j[n_modes:, :n_modes] = -np.eye(n_modes)
+    return j
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
@@ -81,9 +89,9 @@ class Generator:
             object.__setattr__(self, "coeffs", _readonly(c))
 
     @classmethod
-    def from_matrix(cls, label: str, matrix, *, require_hermitian: bool = True) -> "Generator":
+    def from_matrix(cls, label: str, matrix) -> "Generator":
         g = cls(label=label, matrix=matrix)
-        if require_hermitian and not g.is_hermitian():
+        if not g.is_hermitian():
             raise ValueError(f"generator {label!r}: matrix is not Hermitian")
         return g
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import PHASE_SPACE, GeneratorSet, _quadratic_flow
+from .generators import PHASE_SPACE, GeneratorSet, _quadratic_flow, symplectic_form
 from .geometry import _evolution, _normalized, _transverse_projector
 
 __all__ = [
@@ -217,8 +217,6 @@ def response_spectrum(r: ResponseMatrix) -> ResponseSpectrum:
 
 
 def _is_symplectic(m: np.ndarray) -> bool:
-    from .classical import symplectic_form  # classical imports this module
-
     j = symplectic_form(m.shape[0] // 2)
     scale = max(1.0, float(np.abs(m).max()) ** 2)
     return float(np.abs(m.T @ j @ m - j).max()) <= SYMPLECTIC_TOL * scale

@@ -2,16 +2,23 @@
 
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import geochaos
 from geochaos import geometry
 from geochaos.cli import (
     ConfigError,
     ExperimentConfig,
     _bloch_samples,
+    _config_from_args,
     build_parser,
     main,
     run_experiment,
@@ -181,6 +188,76 @@ def test_cli_config_system_must_be_quadratic(tmp_path, capsys, experiment, key, 
                                     "output": str(tmp_path / "out")}))
     assert main(["--config", str(cfg_file)]) == 2
     assert "system" in capsys.readouterr().err
+
+
+_SWEEP = {"experiment": "iho-response", "param": "omega"}
+
+
+@pytest.mark.parametrize("bad,name", [
+    (["otoc-check", "--omega", "-1"], "omega"),
+    (["state-response", "--omega", "0"], "omega"),
+    (["iho-response", "--t-grid", "0:inf:5"], "time grid"),
+    ({"experiment": "iho-response", "parameters": {"omega": "abc"}}, "omega"),
+    ({"experiment": "lyapunov", "parameters": {"window": 5}}, "window"),
+    ({"experiment": "lyapunov", "parameters": {"window": [5, "x"]}}, "window"),
+    ({"experiment": "qubit-geodesic", "parameters": {"n_samples": "x"}}, "n_samples"),
+    ({"experiment": "qubit-geodesic", "parameters": {"n_samples": 2.7}}, "n_samples"),
+    ({"experiment": "iho-response", "parameters": {"omaga": 3}}, "omaga"),
+    ({"experiment": "otoc-check", "parameters": {"systems": []}}, "systems"),
+    ({"experiment": "sweep", "parameters": {**_SWEEP, "values": "abc"}}, "values"),
+    ({"experiment": "sweep", "parameters": {**_SWEEP, "values": [1.0, "x"]}}, "omega"),
+    ({"experiment": "sweep", "parameters": {**_SWEEP, "values": [1.0], "base": 5}}, "base"),
+    ({"experiment": "sweep", "parameters": {**_SWEEP, "param": "omaga", "values": [1.0]}},
+     "omaga"),
+    ({"experiment": "sweep", "parameters": {**_SWEEP, "values": [1, -1]}}, "omega"),
+    ({"experiment": "iho-response", "jobs": 2}, "jobs"),
+    ({"experiment": "iho-response", "omega": 2.0}, "omega"),
+], ids=["otoc_negative_omega", "state_zero_omega", "infinite_grid_end", "text_omega",
+        "scalar_window", "text_window_end", "text_sample_count", "fractional_sample_count",
+        "misspelt_parameter", "empty_systems", "text_sweep_values", "text_sweep_value",
+        "scalar_sweep_base", "misspelt_sweep_param", "negative_sweep_point",
+        "config_jobs_key", "config_top_level_parameter"])
+def test_bad_configuration_exits_2_before_writing(tmp_path, capsys, bad, name):
+    out = tmp_path / "out"
+    if isinstance(bad, dict):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"time_grid": [0, 1, 3], "output": str(out), **bad}))
+        argv = ["--config", str(cfg_file)]
+    else:
+        argv = bad + ["--output", str(out)]
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+    # no report.json, and for a sweep no point_* directory
+    assert not out.exists()
+
+
+def test_readme_command_lines_validate(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "experiment.json").write_text(
+        section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GEOCHAOS_OUTPUT", raising=False)
+    lines = [shlex.split(line.removeprefix("python -m "))
+             for line in commands.splitlines() if line.strip()]
+    assert len(lines) >= 8
+    for words in lines:
+        assert words[0] == "geochaos"
+        _config_from_args(build_parser().parse_args(words[1:])).validate()
+
+
+def test_python_m_geochaos(tmp_path):
+    src = str(Path(geochaos.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("GEOCHAOS_OUTPUT", None)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "geochaos", *argv], env=env,
+                              capture_output=True).returncode
+
+    assert run("iho-response", "--t-grid", "0:1:3", "--output", str(tmp_path / "ok")) == 0
+    assert run("otoc-check", "--omega", "-1", "--output", str(tmp_path / "bad")) == 2
 
 
 def test_cli_pipeline_failure_exit_code(tmp_path):
