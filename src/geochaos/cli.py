@@ -55,8 +55,10 @@ class ExperimentConfig:
         against its target's table here, so a bad point fails before any
         point runs.
         """
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         try:
             self.time_grid = _time_grid(self.time_grid)
         except (TypeError, ValueError) as exc:
@@ -113,9 +115,16 @@ def _check(name: str, value: float, tol: float, larger_is_pass: bool = False) ->
 # TypeError, with the reason, when the value is bad
 
 
+def _number(value) -> float:
+    """float(value), refusing a JSON boolean, which float() reads as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _open_interval(low: float, high: float) -> Callable[[Any], float]:
     def check(value) -> float:
-        x = float(value)
+        x = _number(value)
         if not low < x < high:
             raise ValueError(f"must lie in ({low:g}, {high:g}), got {value!r}")
         return x
@@ -128,7 +137,7 @@ _POSITIVE = _open_interval(0.0, math.inf)
 def _time_grid(value) -> tuple[float, float, int]:
     """A time grid start:end:npoints (flag text) or three numbers."""
     parts = value.split(":") if isinstance(value, str) else value
-    t0, t1, n = [float(v) for v in parts]
+    t0, t1, n = [_number(v) for v in parts]
     if not (math.inf > t1 > t0 >= 0.0 and n.is_integer() and n >= 2):
         raise ValueError(f"must be [start, end, npoints] with inf > end > start >= 0 "
                          f"and an integer npoints >= 2, got {value!r}")
@@ -138,7 +147,7 @@ def _time_grid(value) -> tuple[float, float, int]:
 def _window(value) -> tuple[float, float]:
     """A fit window t_min:t_max (flag text) or a pair of numbers."""
     parts = value.split(":") if isinstance(value, str) else value
-    bounds = [float(v) for v in parts]
+    bounds = [_number(v) for v in parts]
     if len(bounds) != 2 or not math.inf > bounds[1] > bounds[0] >= 0.0:
         raise ValueError(f"must be [t_min, t_max] with inf > t_max > t_min >= 0, "
                          f"got {value!r}")
@@ -159,7 +168,7 @@ def _systems(value) -> list[str]:
 
 
 def _sample_count(value) -> int:
-    x = float(value)
+    x = _number(value)
     if not (x.is_integer() and x >= 2):
         raise ValueError(f"must be an integer >= 2, got {value!r}")
     return int(x)
@@ -500,7 +509,6 @@ def _config_from_file(path: Path) -> ExperimentConfig:
     try:
         cfg = ExperimentConfig(**doc)
         cfg.output = Path(cfg.output)
-        cfg.seed = int(cfg.seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {str(path)!r}: {exc}") from None
     return cfg

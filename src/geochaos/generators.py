@@ -238,6 +238,14 @@ class GeneratorSet:
                              "identity (an identity must be marked by identity_index)")
         return basis, np.linalg.inv(gram)
 
+    @cached_property
+    def _is_canonical(self) -> bool:
+        """Whether the costed generators are q_1..q_N, p_1..p_N, in this order
+        (phase-space kind); cached, since response calls check it each time."""
+        n = self.n_modes
+        rows = np.array([self.generators[i].coeffs for i in self.costed_indices()])
+        return bool(np.array_equal(rows, np.eye(2 * n, 2 * n + 1)))
+
     def _coordinates(self, x: np.ndarray) -> np.ndarray:
         """Components (..., n) along the costed basis of Hermitian x (..., d, d)."""
         basis, gram_inv = self._costed_basis
@@ -439,6 +447,14 @@ def conjugate_by_quadratic_flow(d: DisplacementVector, hamiltonian: QuadraticFlo
     n = d.n_modes
     z = _quadratic_flow(hamiltonian, n, t) @ np.concatenate([d.a, d.b])
     return DisplacementVector(z[:n], z[n:], d.phase)
+
+
+def _check_canonical(gens: GeneratorSet) -> None:
+    """Raise unless the costed generators of a phase-space set are q_1..q_N,
+    p_1..p_N in this order: the exact maps S(t) act in those coordinates."""
+    if not gens._is_canonical:
+        raise ValueError("the costed phase-space generators must be the canonical "
+                         "basis q_1..q_N, p_1..p_N, in this order")
 
 
 def _quadratic_flow(hamiltonian: QuadraticFlow, n_modes: int, t: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .generators import (
     PHASE_SPACE,
     DisplacementVector,
     GeneratorSet,
+    _check_canonical,
     _commutator_table,
     heisenberg_generators,
 )
@@ -183,6 +184,23 @@ class GeodesicResult:
         }
 
 
+def _result(labels: Sequence[str], values, method: str, partials=None,
+            length: float = math.inf, residual: float = 1.0,
+            multiplicity: int = 1) -> GeodesicResult:
+    """The result whose path has the controls values (n_intervals, n) on labels.
+
+    Without partials it is a failed solve: nan partials, infinite length,
+    endpoint residual 1, not converged.
+    """
+    if partials is None:
+        partials = np.full(len(labels), math.nan)
+    return GeodesicResult(
+        path=ProtocolPath(tuple(labels), values), length=float(length),
+        partials={l: float(p) for l, p in zip(labels, partials)},
+        endpoint_residual=float(residual), converged=math.isfinite(length),
+        multiplicity=multiplicity, method=method)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the geodesic solvers.
@@ -208,6 +226,13 @@ class SolverConfig:
     direct_fallback: str = "always"
 
     def __post_init__(self):
+        minima = dict(n_starts=1, n_intervals=1, max_iters=0, seed=0,
+                      n_restarts_direct=1, direct_max_iters=1, ode_steps=1, n_refine=1)
+        for name, low in minima.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.direct_fallback not in ("always", "auto", "never"):
             raise ValueError(f"unknown direct_fallback {self.direct_fallback!r}")
 
@@ -294,29 +319,27 @@ def heisenberg_complexity(d: DisplacementVector, weights: CostWeights,
     The optimal protocol is the straight line in displacement coordinates:
     partials equal the coefficients (a_i along position generators, b_i
     along momentum), the length is the weighted Euclidean norm and the
-    phase component is free.
+    phase component is free.  The costed generators must be the canonical
+    basis q_1..q_N, p_1..p_N (a ``ValueError`` otherwise).
     """
     n = d.n_modes
     if gens is None:
         gens = heisenberg_generators(n)
     if gens.kind != PHASE_SPACE or gens.n_modes != n:
         raise ValueError("generator set does not match the displacement")
-    q_labels = list(gens.labels[:n])
-    p_labels = list(gens.labels[n:2 * n])
+    _check_canonical(gens)
+    q_labels = list(gens.costed_labels()[:n])
+    p_labels = list(gens.costed_labels()[n:])
     id_label = (gens.generators[gens.identity_index].label
                 if gens.identity_index is not None else None)
     labels = q_labels + p_labels + ([id_label] if id_label is not None else [])
     coeffs = list(d.a) + list(d.b) + ([d.phase] if id_label is not None else [])
-    partials = {lab: float(c) for lab, c in zip(labels, coeffs)}
     if id_label is not None and weights.weights.get(id_label, 0.0) != 0.0:
         raise ValueError("the identity direction must carry zero cost")
     wq = weights.vector(q_labels)
     wp = weights.vector(p_labels)
     length = math.sqrt(float(wq @ d.a**2 + wp @ d.b**2))
-    path = ProtocolPath.constant(labels, coeffs)
-    return GeodesicResult(path=path, length=length, partials=partials,
-                          endpoint_residual=0.0, converged=True,
-                          method="closed_form")
+    return _result(labels, [coeffs], "closed_form", coeffs, length, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +467,7 @@ _SHOOT_CHUNK = 16
 
 
 def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
-                 mats: np.ndarray, n_steps: int, want_path: bool = False):
+                 mats: np.ndarray, n_steps: int):
     """Integrate the geodesic flow from initial velocities v (m, n).
 
     The velocity equation does not involve the unitary, so the control curve
@@ -454,8 +477,8 @@ def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
     nodes (cubic Hermite interpolation) give all exponents at once, they are
     exponentiated in one batched call and their ordered product is folded
     into the running unitary.
-    Returns endpoints (m, d, d), final velocities, and the per-step control
-    samples (n_steps + 1, m, n) when requested.
+    Returns endpoints (m, d, d), final velocities and the per-step control
+    samples (n_steps + 1, m, n).
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     m, n = v.shape
@@ -482,7 +505,7 @@ def _shoot_batch(v: np.ndarray, g: np.ndarray, w: np.ndarray,
         exps = np.einsum("eb,bsmn->semn", weights, basis).reshape(-1, m, n)
         factors = _exp_hermitian(np.tensordot(exps, mats, axes=(2, 0)))
         u = _ordered_product(factors) @ u
-    return u, ys[n_steps], ys if want_path else None
+    return u, ys[n_steps], ys
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +531,15 @@ class _MatrixProblem:
 
     # -- endpoint evaluation ------------------------------------------------
 
-    def shoot(self, v, n_steps=None, want_path=False):
+    def shoot(self, v, n_steps=None):
         n_steps = n_steps or self.cfg.ode_steps
-        return _shoot_batch(v, self.g, self.w, self.mats, n_steps, want_path)
+        return _shoot_batch(v, self.g, self.w, self.mats, n_steps)
 
     def footprint(self, u: np.ndarray) -> np.ndarray:
         """Phase-free footprint of u (..., d, d): components of u M_a u^dag."""
         u = u[..., None, :, :]
         moved = u @ self.mats @ u.conj().swapaxes(-1, -2)
         return self.gens._coordinates(moved)
-
-    def weighted_norm(self, v: np.ndarray) -> float:
-        return math.sqrt(float(np.sum(self.w * np.asarray(v) ** 2)))
 
     def log_components(self, u: np.ndarray) -> list[np.ndarray]:
         """Generator components of -i log(u), all phase branches that map back."""
@@ -568,8 +588,9 @@ class _Target:
     vanishes.  ``residual(u, v)`` gives the shooting residual rows of
     endpoints u (m, d, d) shot from velocities v (m, n), and the refine
     stops once its squared norm is below ``cost_tol``.  ``starts`` are the
-    informed initial velocities, ``radius`` the unit of the scan radii, and
-    ``short_skip`` whether the d = 2 short-geodesic bound may end the scan.
+    informed initial velocities and ``radius`` the unit of the scan radii.
+    A converged start no longer than ``short_length`` is the global minimum,
+    so it ends the shooting stage before the scan.
     """
 
     q: np.ndarray
@@ -578,7 +599,7 @@ class _Target:
     cost_tol: float
     starts: list[np.ndarray]
     radius: float
-    short_skip: bool
+    short_length: float = -math.inf
 
     def gap(self, u: np.ndarray) -> float:
         return max(0.0, 1.0 - abs(np.trace(self.q @ u)) / math.sqrt(self.norm))
@@ -596,11 +617,15 @@ def _unitary_target(problem: _MatrixProblem, u_target) -> _Target:
     def residual(u_end, v):
         return (problem.footprint(u_end) - adj_target).reshape(u_end.shape[0], -1)
 
+    # short-geodesic bound: on a single qubit any competing branch is at
+    # least sqrt(w_min) * (pi - L / sqrt(w_min)) long, so a geodesic below
+    # 0.45 * pi * sqrt(w_min) is the global minimum
+    short = 0.45 * math.pi * math.sqrt(problem.w.min()) if problem.dim == 2 else -math.inf
     # endpoint angles ~3e-7, i.e. endpoint infidelities ~1e-13, comfortably
     # below the convergence gate and above the integration noise floor
     return _Target(q=u_target.conj().T, norm=problem.dim**2, residual=residual,
                    cost_tol=1e-13, starts=problem.log_components(u_target),
-                   radius=math.pi, short_skip=True)
+                   radius=math.pi, short_length=short)
 
 
 def _state_target(problem: _MatrixProblem, gens: GeneratorSet,
@@ -637,7 +662,7 @@ def _state_target(problem: _MatrixProblem, gens: GeneratorSet,
                                                     + np.eye(d) - proj))[:1]]
     return _Target(q=np.outer(psi_ref, psi_target.conj()), norm=1.0,
                    residual=residual, cost_tol=1e-21, starts=starts,
-                   radius=0.25 * math.pi, short_skip=False)
+                   radius=0.25 * math.pi)
 
 
 def _transverse_projector(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
@@ -703,12 +728,15 @@ def _refine_many(problem: _MatrixProblem, seeds: np.ndarray,
     return v
 
 
-def _candidate_results(problem: _MatrixProblem, vs: np.ndarray, target: _Target):
-    """(length, endpoint residual, partials, control curve) of each velocity."""
-    u, _, samples = problem.shoot(vs, want_path=True)
+def _refined_candidates(problem: _MatrixProblem, seeds: Sequence[np.ndarray],
+                        target: _Target):
+    """Refine the seeds and shoot them once: (length, endpoint residual,
+    partials, control curve) of each refined velocity."""
+    vs = _refine_many(problem, seeds, target)
+    u, _, samples = problem.shoot(vs)
     # trapezoid integral of the control curve = signed partials
     partials = np.trapezoid(samples, dx=1.0 / (samples.shape[0] - 1), axis=0)
-    return [(problem.weighted_norm(v), target.gap(u[i]),
+    return [(_length(v[None], problem.w), target.gap(u[i]),
              partials[i], samples[:, i, :]) for i, v in enumerate(vs)]
 
 
@@ -722,50 +750,35 @@ def _downsample(traj: np.ndarray, n_intervals: int) -> np.ndarray:
 
 
 def _solve_shooting(problem: _MatrixProblem, target: _Target,
-                    rng: np.random.Generator) -> GeodesicResult | None:
-    """Refine shooting candidates and fold them into the best geodesic."""
+                    rng: np.random.Generator) -> GeodesicResult:
+    """Refine shooting candidates and fold them into the best geodesic.
+
+    Each refined set is shot once; that shot serves both the short-geodesic
+    stop and the final pick.
+    """
     cfg = problem.cfg
-    multistart = True
-    refined_sets: list[np.ndarray] = []
-    if target.starts:
-        refined = _refine_many(problem, np.stack(target.starts), target)
-        refined_sets.append(refined)
-        if target.short_skip and problem.dim == 2:
-            # short-geodesic bound: on a single qubit any competing branch
-            # is at least sqrt(w_min) * (pi - L / sqrt(w_min)) long, so a
-            # converged candidate below 0.45 * pi * sqrt(w_min) is already
-            # the global minimum and the multi-start sweep is skipped
-            w_min = math.sqrt(problem.w.min())
-            u_end, _, _ = problem.shoot(refined)
-            if any(target.gap(u) <= TOL_ENDPOINT
-                   and problem.weighted_norm(v) <= 0.45 * math.pi * w_min
-                   for u, v in zip(u_end, refined)):
-                multistart = False
-    if multistart:
+    candidates = (_refined_candidates(problem, target.starts, target)
+                  if target.starts else [])
+    if not any(resid <= TOL_ENDPOINT and length <= target.short_length
+               for length, resid, _, _ in candidates):
         scan = problem.scan_starts(rng, target.radius)
         # one radius at a time: a shot's temporaries grow with its batch
         resids = np.array([target.gap(u) for group in np.split(scan, MAX_RADIUS_MULTIPLE)
                            for u in problem.shoot(group, max(48, cfg.ode_steps // 4))[0]])
-        order = np.argsort(resids)
         picked: list[np.ndarray] = []
-        for i in order:
+        for i in np.argsort(resids):
             v = scan[i]
             if all(np.linalg.norm(v - p) > 1e-3 for p in picked):
                 picked.append(v)
             if len(picked) >= cfg.n_refine:
                 break
-        if picked:
-            refined_sets.append(_refine_many(problem, np.stack(picked), target))
+        candidates += _refined_candidates(problem, picked, target)
 
-    if not refined_sets:
-        return None
-    candidates = [c for c in _candidate_results(
-        problem, np.concatenate(refined_sets, axis=0), target)
-        if c[1] <= TOL_ENDPOINT]
+    candidates = [c for c in candidates if c[1] <= TOL_ENDPOINT]
     if not candidates:
-        return None
-    lengths = np.array([c[0] for c in candidates])
-    lmin = lengths.min()
+        return _result(problem.labels, np.zeros((cfg.n_intervals, len(problem.labels))),
+                       "failed")
+    lmin = min(c[0] for c in candidates)
     ties = [c for c in candidates if c[0] <= lmin + TOL_LENGTH]
     # deterministic branch: lexicographically smallest partial vector
     ties.sort(key=lambda c: tuple(np.round(c[2], 9)))
@@ -774,30 +787,8 @@ def _solve_shooting(problem: _MatrixProblem, target: _Target,
         if np.abs(a[2] - b[2]).max() > 1e-6:
             distinct += 1
     length, resid, partials, traj = ties[0]
-    values = _downsample(traj, cfg.n_intervals)
-    path = ProtocolPath(tuple(problem.labels), values)
-    return GeodesicResult(
-        path=path, length=float(length),
-        partials={l: float(p) for l, p in zip(problem.labels, partials)},
-        endpoint_residual=float(resid), converged=True,
-        multiplicity=distinct, method="euler_arnold")
-
-
-def _failed_result(labels: Sequence[str], n_intervals: int) -> GeodesicResult:
-    path = ProtocolPath.constant(labels, np.zeros(len(labels)), n_intervals)
-    return GeodesicResult(path=path, length=math.inf,
-                          partials={l: math.nan for l in labels},
-                          endpoint_residual=1.0, converged=False,
-                          method="failed")
-
-
-def _trivial_result(labels: Sequence[str], n_intervals: int) -> GeodesicResult:
-    """The zero-length solution when the target is already reached."""
-    path = ProtocolPath.constant(labels, np.zeros(len(labels)), n_intervals)
-    return GeodesicResult(path=path, length=0.0,
-                          partials={l: 0.0 for l in labels},
-                          endpoint_residual=0.0, converged=True,
-                          method="trivial")
+    return _result(problem.labels, _downsample(traj, cfg.n_intervals), "euler_arnold",
+                   partials, length, resid, distinct)
 
 
 def _solve(problem: _MatrixProblem, target: _Target) -> GeodesicResult:
@@ -806,19 +797,16 @@ def _solve(problem: _MatrixProblem, target: _Target) -> GeodesicResult:
     rng = np.random.default_rng(cfg.seed)
     # identity shortcut: nothing to solve this close to the identity
     if target.gap(np.eye(problem.dim)) <= 1e-14:
-        return _trivial_result(problem.labels, cfg.n_intervals)
+        zeros = np.zeros((cfg.n_intervals, len(problem.labels)))
+        return _result(problem.labels, zeros, "trivial", zeros[0], 0.0, 0.0)
     result = _solve_shooting(problem, target, rng)
-    need_direct = cfg.direct_fallback == "always" or (
-        cfg.direct_fallback == "auto" and result is None)
-    if need_direct:
+    if cfg.direct_fallback == "always" or (
+            cfg.direct_fallback == "auto" and not result.converged):
         direct = _direct_optimize(problem, target, rng)
-        # prefer the flow solution within integration noise of a tie
-        if direct is not None and (result is None
-                                   or direct.length < result.length
-                                   - 10 * TOL_LENGTH):
+        # prefer the flow solution within integration noise of a tie; a
+        # failed stage has infinite length
+        if direct.length < result.length - 10 * TOL_LENGTH:
             result = direct
-    if result is None:
-        result = _failed_result(problem.labels, cfg.n_intervals)
     return result
 
 
@@ -887,14 +875,13 @@ def _direct_objective(x, problem: _MatrixProblem, target: _Target, n_int, mu):
 
 
 def _direct_optimize(problem: _MatrixProblem, target: _Target,
-                     rng: np.random.Generator) -> GeodesicResult | None:
+                     rng: np.random.Generator) -> GeodesicResult:
     cfg = problem.cfg
     n_int = cfg.n_intervals
     n_gen = len(problem.labels)
     best = None
     stable = 0
-    n_restarts = max(1, cfg.n_restarts_direct)
-    for r in range(n_restarts):
+    for r in range(cfg.n_restarts_direct):
         if r < len(target.starts):
             x0 = np.tile(target.starts[r], (n_int, 1)).ravel()
         else:
@@ -919,14 +906,9 @@ def _direct_optimize(problem: _MatrixProblem, target: _Target,
         if best is not None and stable >= 3 and r >= max(2, len(target.starts)):
             break
     if best is None:
-        return None
+        return _result(problem.labels, np.zeros((n_int, n_gen)), "direct")
     length, resid, y = best
-    partials = (y.sum(axis=0) / n_int)
-    path = ProtocolPath(tuple(problem.labels), y)
-    return GeodesicResult(
-        path=path, length=float(length),
-        partials={l: float(p) for l, p in zip(problem.labels, partials)},
-        endpoint_residual=float(resid), converged=True, method="direct")
+    return _result(problem.labels, y, "direct", y.sum(axis=0) / n_int, length, resid)
 
 
 def direct_path_complexity(u_target: np.ndarray, gens: GeneratorSet,
@@ -939,12 +921,8 @@ def direct_path_complexity(u_target: np.ndarray, gens: GeneratorSet,
     two-sided consistency check.
     """
     problem = _MatrixProblem(gens, weights, cfg)
-    target = _unitary_target(problem, u_target)
-    rng = np.random.default_rng(cfg.seed)
-    result = _direct_optimize(problem, target, rng)
-    if result is None:
-        return replace(_failed_result(problem.labels, cfg.n_intervals), method="direct")
-    return result
+    return _direct_optimize(problem, _unitary_target(problem, u_target),
+                            np.random.default_rng(cfg.seed))
 
 
 # ---------------------------------------------------------------------------

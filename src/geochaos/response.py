@@ -32,7 +32,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import PHASE_SPACE, GeneratorSet, _quadratic_flow, symplectic_form
+from .generators import (
+    PHASE_SPACE,
+    GeneratorSet,
+    _check_canonical,
+    _quadratic_flow,
+    symplectic_form,
+)
 from .geometry import _evolution, _normalized, _transverse_projector
 
 __all__ = [
@@ -130,9 +136,11 @@ def unitary_response_matrix(hamiltonian, gens: GeneratorSet,
     basis components of ``U_t M_K U_t^dag`` as partials.  Phase-space kind:
     the components ride the forward flow map, so R_u = S(t)^T.  Matrix kind:
     R_u = Ad(U_t) in the costed generators; a ``ValueError`` is raised when
-    H is not Hermitian or some conjugated generator leaves their span.
+    H is not Hermitian or some conjugated generator leaves their span, or
+    when phase-space generators are not the canonical basis.
     """
     if gens.kind == PHASE_SPACE:
+        _check_canonical(gens)
         entries = _quadratic_flow(hamiltonian, gens.n_modes, t).T
     else:
         entries = _adjoint_evolution(hamiltonian, gens, t)[1]
@@ -165,7 +173,8 @@ def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet,
     evolution, so their relative displacement is exact and linear in the
     strength; the entries are the classical tangent map S(t) itself, rows
     indexed through the conjugate-coordinate pairing of the perturbing
-    generator.
+    generator.  The costed generators must be the canonical basis
+    q_1..q_N, p_1..p_N (a ``ValueError`` otherwise).
 
     Matrix pipeline: ``psi2(t) = exp(-iHt) exp(-i eps M_K) psi0`` differs
     from ``psi1(t) = exp(-iHt) psi0`` by ``exp(-i eps U_t M_K U_t^dag)``.
@@ -178,6 +187,7 @@ def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet,
         mean = np.asarray(getattr(psi0, "mean"), dtype=float)
         if mean.size != 2 * gens.n_modes:
             raise ValueError("state dimension does not match the generator set")
+        _check_canonical(gens)
         entries = _quadratic_flow(hamiltonian, gens.n_modes, t)
     else:
         psi0 = _normalized(psi0)

@@ -212,11 +212,17 @@ _SWEEP = {"experiment": "iho-response", "param": "omega"}
     ({"experiment": "sweep", "parameters": {**_SWEEP, "values": [1, -1]}}, "omega"),
     ({"experiment": "iho-response", "jobs": 2}, "jobs"),
     ({"experiment": "iho-response", "omega": 2.0}, "omega"),
+    ({"experiment": "iho-response", "seed": 2.7}, "seed"),
+    ({"experiment": "iho-response", "seed": True}, "seed"),
+    (["qubit-geodesic", "--seed", "-1"], "seed"),
+    ({"experiment": ["iho-response"]}, "experiment"),
+    ({"experiment": "iho-response", "parameters": {"omega": True}}, "omega"),
 ], ids=["otoc_negative_omega", "state_zero_omega", "infinite_grid_end", "text_omega",
         "scalar_window", "text_window_end", "text_sample_count", "fractional_sample_count",
         "misspelt_parameter", "empty_systems", "text_sweep_values", "text_sweep_value",
         "scalar_sweep_base", "misspelt_sweep_param", "negative_sweep_point",
-        "config_jobs_key", "config_top_level_parameter"])
+        "config_jobs_key", "config_top_level_parameter", "fractional_seed", "boolean_seed",
+        "negative_seed", "experiment_not_a_string", "boolean_omega"])
 def test_bad_configuration_exits_2_before_writing(tmp_path, capsys, bad, name):
     out = tmp_path / "out"
     if isinstance(bad, dict):

@@ -213,6 +213,28 @@ def test_one_parameter_subgroup_is_geodesic():
     assert abs(res.partials["sigma_z"]) <= 1e-7
 
 
+@pytest.mark.parametrize("angle,scans", [(0.7, False), (1.5, True)])
+def test_short_geodesic_skips_the_scan(monkeypatch, angle, scans):
+    # at (1, 1, 1.5) a converged geodesic below 0.45 pi sqrt(w_min) = 1.414
+    # is the global minimum, so the solve ends before the multistart scan
+    class Scanned(Exception):
+        pass
+
+    def scan(*args):
+        raise Scanned
+
+    monkeypatch.setattr(geometry._MatrixProblem, "scan_starts", scan)
+    u = rotation(angle, [1, 0, 0])
+    cfg = replace(LIGHT, direct_fallback="never")
+    if scans:
+        with pytest.raises(Scanned):
+            unitary_complexity(u, PAULIS, WEIGHTED, cfg)
+    else:
+        res = unitary_complexity(u, PAULIS, WEIGHTED, cfg)
+        assert res.converged and res.method == "euler_arnold"
+        assert res.length == pytest.approx(angle, abs=1e-8)
+
+
 def test_identity_target_zero_length():
     res = unitary_complexity(np.eye(2), PAULIS, ISO, LIGHT)
     assert res.length == 0.0 and res.converged
@@ -418,12 +440,24 @@ def test_solver_config_json_round_trip():
     assert SolverConfig.from_json(cfg.to_json()) == cfg
 
 
-@pytest.mark.parametrize("value", ["Always", "sometimes", ""])
-def test_solver_config_rejects_unknown_direct_fallback(value):
-    with pytest.raises(ValueError, match="direct_fallback"):
-        SolverConfig(direct_fallback=value)
-    with pytest.raises(ValueError, match="direct_fallback"):
-        SolverConfig.from_json({"direct_fallback": value})
+# every field's bad values: an unknown direct_fallback, and each integer
+# knob below its minimum, fractional or boolean
+_BAD_FIELDS = [("direct_fallback", v) for v in ("Always", "sometimes", "")] + [
+    (name, value)
+    for name, low in (("n_starts", 1), ("n_intervals", 1), ("max_iters", 0), ("seed", 0),
+                      ("n_restarts_direct", 1), ("direct_max_iters", 1), ("ode_steps", 1),
+                      ("n_refine", 1))
+    for value in (low - 1, 2.5, True)]
+
+
+@pytest.mark.parametrize("field,value", _BAD_FIELDS,
+                         ids=[v if f == "direct_fallback" else f"{f}={v!r}"
+                              for f, v in _BAD_FIELDS])
+def test_solver_config_rejects_unknown_direct_fallback(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        SolverConfig.from_json({field: value})
 
 
 @pytest.mark.parametrize("solve", [unitary_complexity, direct_path_complexity])
@@ -659,7 +693,7 @@ def test_shooting_chunking_is_invisible(monkeypatch, n_steps):
     ends = []
     for chunk in (1, 7, geometry._SHOOT_CHUNK, 10_000):
         monkeypatch.setattr(geometry, "_SHOOT_CHUNK", chunk)
-        u, y_end, path = problem.shoot(v, n_steps=n_steps, want_path=True)
+        u, y_end, path = problem.shoot(v, n_steps=n_steps)
         assert path.shape == (n_steps + 1, 3, 6)
         assert np.array_equal(path[-1], y_end)
         ends.append(u)

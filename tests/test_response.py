@@ -116,6 +116,46 @@ def test_displacement_response_is_transposed_flow(a, t):
     assert np.array_equal(r.entries, ham.flow_matrix(t).T)
 
 
+def _rotated_heisenberg():
+    """{(x + p)/sqrt 2, (p - x)/sqrt 2, id}: a rotated, non-canonical basis."""
+    c = 1.0 / np.sqrt(2.0)
+    return GeneratorSet((Generator.from_phase_space("u", c, c),
+                         Generator.from_phase_space("v", -c, c),
+                         Generator.from_phase_space("id", 0.0, 0.0, 1.0)),
+                        identity_index=2)
+
+
+@pytest.mark.parametrize("gens,canonical", [
+    (GeneratorSet((HEIS[0],)), False),
+    (_rotated_heisenberg(), False),
+    (heisenberg_generators(1), True),
+    (heisenberg_generators(1, include_identity=False), True),
+    (heisenberg_generators(2), True),
+    (heisenberg_generators(2, include_identity=False), True),
+], ids=["x_only", "rotated", "one_mode", "one_mode_no_id", "two_modes",
+        "two_modes_no_id"])
+def test_phase_space_maps_need_the_canonical_basis(gens, canonical):
+    # S(t) acts on (q_1..q_N, p_1..p_N): any other costed set would get the
+    # canonical entries under its own labels
+    n = gens.n_modes
+    ham = QuadraticHamiltonian(np.diag(np.arange(1.0, 2 * n + 1)) - 0.3)
+    calls = [lambda: unitary_response_matrix(ham, gens, 1.0),
+             lambda: state_response_matrix(GaussianWignerState.vacuum(n), ham, gens, 1.0),
+             lambda: heisenberg_complexity(DisplacementVector(np.ones(n), -np.ones(n)),
+                                           CostWeights.isotropic(gens), gens)]
+    if not canonical:
+        for call in calls:
+            with pytest.raises(ValueError, match="canonical"):
+                call()
+        return
+    s = ham.flow_matrix(1.0)
+    ru, rs, geo = (call() for call in calls)
+    labels = gens.costed_labels()
+    assert ru.labels == rs.labels == labels
+    assert np.array_equal(ru.entries, s.T) and np.array_equal(rs.entries, s)
+    assert [geo.partials[l] for l in labels] == [1.0] * n + [-1.0] * n
+
+
 # ---------------------------------------------------------------------------
 # unitary flavor, matrix pipeline
 
