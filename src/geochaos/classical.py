@@ -307,34 +307,29 @@ def classical_lyapunov(hamiltonian, x0, t_total: float,
     if n_blocks < cfg.min_renorms:
         raise ValueError(
             f"t_total too short: {n_blocks} QR blocks < {cfg.min_renorms}")
-    q_mat = np.eye(dim)
-    logs = np.zeros(dim)
-    block_rates = []
+    block_t = cfg.step * cfg.renorm_every
     quadratic = isinstance(hamiltonian, QuadraticHamiltonian)
     if quadratic:
-        step_map = hamiltonian.flow_matrix(cfg.step)
+        # the exact flow is a group: one block is one map
+        block_map = hamiltonian.flow_matrix(block_t)
     else:
         q, p = x0[:dim // 2].copy(), x0[dim // 2:].copy()
-    block_t = cfg.step * cfg.renorm_every
+    q_mat = np.eye(dim)
+    diags = np.empty((n_blocks, dim))
     for b in range(n_blocks):
         if quadratic:
-            for _ in range(cfg.renorm_every):
-                q_mat = step_map @ q_mat
+            jac = block_map
         else:
             jac = np.eye(dim)
             for _ in range(cfg.renorm_every):
                 q, p, jac = _split_step(hamiltonian, q, p, jac, cfg.step)
-            q_mat = jac @ q_mat
-        q_mat, r = np.linalg.qr(q_mat)
-        diag = np.diag(r)
-        signs = np.where(diag < 0, -1.0, 1.0)
-        q_mat = q_mat * signs
-        increments = np.log(np.abs(diag))
-        logs += increments
-        block_rates.append(increments / block_t)
+        q_mat, r = np.linalg.qr(jac @ q_mat)
+        diags[b] = np.diag(r)
+        q_mat = q_mat * np.where(diags[b] < 0, -1.0, 1.0)
+    increments = np.log(np.abs(diags))
     total_t = n_blocks * block_t
-    lam = np.sort(logs / total_t)[::-1]
-    tail = np.stack(block_rates[len(block_rates) // 2:])
+    lam = np.sort(increments.sum(axis=0) / total_t)[::-1]
+    tail = increments[n_blocks // 2:] / block_t
     residual = float(np.sqrt(np.mean((np.sort(tail, axis=1)[:, ::-1]
                                       - lam) ** 2)))
     return LyapunovEstimate(lambdas=lam,

@@ -27,7 +27,7 @@ from .generators import (
     _quadratic_flow,
 )
 from .geometry import _evolution
-from .response import ResponseMatrix, unitary_response_matrix
+from .response import ResponseMatrix, _check_gaussian_state, unitary_response_matrix
 
 __all__ = [
     "TransferMatrix",
@@ -147,9 +147,7 @@ def averaged_otoc_identity(psi, hamiltonian, gens: GeneratorSet, t: float):
     if gens.kind != PHASE_SPACE:
         raise ValueError("the averaged identity is computed for phase-space "
                          "generator sets")
-    mean = np.asarray(getattr(psi, "mean"), dtype=float)
-    if mean.size != 2 * gens.n_modes:
-        raise ValueError("state does not match the generator set")
+    _check_gaussian_state(psi, gens)
     ru = unitary_response_matrix(hamiltonian, gens, t)
     transfer = transfer_matrix(gens)
     otoc = otoc_matrix(hamiltonian, gens, t)

@@ -164,6 +164,19 @@ def _adjoint_evolution(hamiltonian, gens: GeneratorSet, t: float):
 # state flavor
 
 
+def _check_gaussian_state(psi, gens: GeneratorSet) -> None:
+    """Refuse anything but a Gaussian Wigner state over the set's modes.
+
+    A state is recognised by its ``covariance``: a plain vector would pass
+    on ``ndarray.mean``, the method.
+    """
+    if not hasattr(psi, "covariance"):
+        raise ValueError(f"a phase-space generator set needs a GaussianWignerState, "
+                         f"got {type(psi).__name__}")
+    if np.asarray(psi.mean).size != 2 * gens.n_modes:
+        raise ValueError("state dimension does not match the generator set")
+
+
 def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet,
                           t: float) -> ResponseMatrix:
     """Response of relative-state partial complexities to perturbations.
@@ -184,9 +197,7 @@ def state_response_matrix(psi0, hamiltonian, gens: GeneratorSet,
     psi1).
     """
     if gens.kind == PHASE_SPACE:
-        mean = np.asarray(getattr(psi0, "mean"), dtype=float)
-        if mean.size != 2 * gens.n_modes:
-            raise ValueError("state dimension does not match the generator set")
+        _check_gaussian_state(psi0, gens)
         _check_canonical(gens)
         entries = _quadratic_flow(hamiltonian, gens.n_modes, t)
     else:

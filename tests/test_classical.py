@@ -127,6 +127,42 @@ def test_benettin_nonlinear_route():
     assert np.abs(est.lambdas).max() <= 0.05
 
 
+def _stepwise_benettin(ham, t_total, cfg=QRConfig()):
+    """Reference loop: renorm_every products with flow_matrix(step) per
+    block, then QR with positive R diagonal; exponents and residual."""
+    step_map = ham.flow_matrix(cfg.step)
+    block_t = cfg.step * cfg.renorm_every
+    n_blocks = int(np.floor(t_total / block_t))
+    q_mat = np.eye(2)
+    logs = np.zeros(2)
+    rates = []
+    for _ in range(n_blocks):
+        for _ in range(cfg.renorm_every):
+            q_mat = step_map @ q_mat
+        q_mat, r = np.linalg.qr(q_mat)
+        diag = np.diag(r)
+        q_mat = q_mat * np.where(diag < 0, -1.0, 1.0)
+        logs += np.log(np.abs(diag))
+        rates.append(np.log(np.abs(diag)) / block_t)
+    lam = np.sort(logs / (n_blocks * block_t))[::-1]
+    tail = np.sort(np.stack(rates[n_blocks // 2:]), axis=1)[:, ::-1]
+    return lam, float(np.sqrt(np.mean((tail - lam) ** 2)))
+
+
+@pytest.mark.parametrize("ham,t_total", [
+    (inverted_oscillator(1.0), 60.0),
+    (inverted_oscillator(2.0), 60.0),
+    (harmonic_oscillator(1.0), 200.0),
+    (free_particle(), 200.0),
+], ids=["iho_1", "iho_2", "harmonic", "free"])
+def test_benettin_block_map_matches_stepwise_loop(ham, t_total):
+    # one flow_matrix(step * renorm_every) per block in place of the products
+    est = classical_lyapunov(ham, [1.0, 0.5], t_total)
+    lam, residual = _stepwise_benettin(ham, t_total)
+    assert np.abs(est.lambdas - lam).max() <= 1e-12
+    assert abs(est.residual - residual) <= 1e-12
+
+
 def test_benettin_requires_enough_blocks():
     with pytest.raises(ValueError):
         classical_lyapunov(inverted_oscillator(1.0), [1.0, 0.0], 1.0)

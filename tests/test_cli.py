@@ -1,5 +1,6 @@
 """Experiment runner: configs, outputs, determinism, exit codes."""
 
+import builtins
 import json
 import math
 import os
@@ -272,6 +273,114 @@ def test_cli_pipeline_failure_exit_code(tmp_path):
     code = main(["iho-response", "--output", str(clash / "sub"),
                  "--t-grid", "0:2:3"])
     assert code == 1
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_rerun_into_same_output_is_byte_identical(tmp_path):
+    configs = {
+        "ly": dict(experiment="lyapunov", time_grid=(0.0, 5.0, 11)),
+        "sw": dict(experiment="sweep", time_grid=(0.0, 3.0, 4),
+                   parameters={"experiment": "lyapunov", "param": "omega",
+                               "values": [1.0, 2.0]}),
+    }
+    for tag, kwargs in configs.items():
+        out = tmp_path / tag
+        run_experiment(ExperimentConfig(output=out, **kwargs))
+        first = _files(out)
+        run_experiment(ExperimentConfig(output=out, **kwargs))
+        assert _files(out) == first
+    assert len(_files(tmp_path / "ly")) == 3  # two CSVs and report.json
+    assert len(_files(tmp_path / "sw")) == 7
+
+
+def test_rerun_replaces_a_longer_stale_file(tmp_path):
+    def cfg(out):
+        return ExperimentConfig(experiment="iho-response", time_grid=(0.0, 3.0, 4),
+                                output=out)
+
+    run_experiment(cfg(tmp_path / "fresh"))
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    (stale / "response.csv").write_text("stale\n" * 1000)
+    run_experiment(cfg(stale))
+    assert _files(stale) == _files(tmp_path / "fresh")
+
+
+def test_rerun_opens_no_existing_file_for_writing(tmp_path, monkeypatch):
+    # truncating an existing file costs a disk flush on close on ext4; a
+    # rerun unlinks each output and writes a new file
+    cfg = dict(experiment="sweep", time_grid=(0.0, 3.0, 4), output=tmp_path / "sw",
+               parameters={"experiment": "iho-response", "param": "omega",
+                           "values": [1.0, 2.0]})
+    run_experiment(ExperimentConfig(**cfg))
+    written = []
+
+    def guard(file, mode):
+        if any(c in mode for c in "wax+"):
+            assert not os.path.lexists(file), f"{file} opened with {mode!r}"
+            written.append(Path(file).relative_to(tmp_path / "sw"))
+
+    path_open, open_ = Path.open, builtins.open
+
+    def patched_path_open(self, mode="r", *args, **kwargs):
+        guard(self, mode)
+        return path_open(self, mode, *args, **kwargs)
+
+    def patched_open(file, mode="r", *args, **kwargs):
+        guard(file, mode)
+        return open_(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", patched_path_open)
+    monkeypatch.setattr(builtins, "open", patched_open)
+    run_experiment(ExperimentConfig(**cfg))
+    monkeypatch.undo()
+    assert sorted(map(str, written)) == sorted(_files(tmp_path / "sw"))
+
+
+def test_rerun_replaces_a_symlinked_output_file(tmp_path):
+    target = tmp_path / "elsewhere.csv"
+    target.write_text("keep\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "response.csv").symlink_to(target)
+    run_experiment(ExperimentConfig(experiment="iho-response",
+                                    time_grid=(0.0, 3.0, 4), output=out))
+    assert not (out / "response.csv").is_symlink()
+    assert (out / "response.csv").read_text().startswith("t,r_xx")
+    assert target.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("via", ["flag", "environment", "config_file"])
+def test_output_naming_a_file_exits_2(tmp_path, monkeypatch, capsys, via):
+    clash = tmp_path / "file"
+    clash.write_text("occupied")
+    argv = ["iho-response", "--t-grid", "0:2:3"]
+    monkeypatch.delenv("GEOCHAOS_OUTPUT", raising=False)
+    if via == "flag":
+        argv += ["--output", str(clash)]
+    elif via == "environment":
+        monkeypatch.setenv("GEOCHAOS_OUTPUT", str(clash))
+    else:
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"experiment": "iho-response",
+                                        "time_grid": [0, 2, 3], "output": str(clash)}))
+        argv = ["--config", str(cfg_file)]
+    assert main(argv) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert clash.read_text() == "occupied"
+
+
+def test_sweep_point_naming_a_file_exits_2_before_writing(tmp_path):
+    out = tmp_path / "sw"
+    out.mkdir()
+    (out / "point_001").write_text("occupied")
+    assert main(["sweep", "--experiment", "iho-response", "--param", "omega",
+                 "--values", "1,2", "--t-grid", "0:2:3", "--output", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["point_001"]
 
 
 def test_cli_config_file(tmp_path):

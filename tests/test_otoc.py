@@ -196,3 +196,8 @@ def test_matrix_kind_commutator_growth_periodicity():
     u = expm(-1j * h * 0.7)
     sx_t = u.conj().T @ sx @ u
     assert np.abs(o.entries[0, 1] - (sx_t @ sy - sy @ sx_t)).max() <= 1e-12
+
+
+def test_averaged_identity_refuses_a_plain_vector():
+    with pytest.raises(ValueError, match="GaussianWignerState"):
+        averaged_otoc_identity(np.array([0.0, 0.0]), inverted_oscillator(1.0), HEIS, 1.0)

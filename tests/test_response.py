@@ -250,6 +250,12 @@ def test_matrix_response_rejects_non_hermitian_hamiltonian(flavor):
 # state flavor
 
 
+def test_phase_space_state_response_refuses_a_plain_vector():
+    # ndarray has a mean method, so only the state type can tell the two apart
+    with pytest.raises(ValueError, match="GaussianWignerState"):
+        state_response_matrix(np.array([0.0, 0.0]), inverted_oscillator(1.0), HEIS, 1.0)
+
+
 def test_gaussian_state_response_equals_unitary_for_symmetric_flow():
     ham = inverted_oscillator(1.0)
     state = GaussianWignerState.vacuum()
